@@ -3,18 +3,15 @@
 //! Times the realization-pipeline step the miner executes per candidate —
 //! glue join → dedup → COUNT(DISTINCT source) — across engines:
 //!
-//! * **row-hash / row-sort-merge** — the retained row-oriented reference
-//!   engine ([`wiclean_rel::rowstore`]), i.e. the pre-columnar seed
-//!   implementation with fully materialized row joins;
-//! * **col-hash / col-sort-merge / col-nested** — the columnar engine with
-//!   eager materialization (table-level wrappers);
+//! * **row-hash** — the retained row-oriented reference engine
+//!   ([`wiclean_rel::rowstore`]), i.e. the pre-columnar seed implementation
+//!   with fully materialized row joins;
+//! * **col-hash / col-nested** — the columnar engine with eager
+//!   materialization (table-level wrappers);
 //! * **col-late** — the columnar late-materialized pipeline: pair stage,
 //!   support counted off the pair stream, one gather, dedup;
 //! * **col-prune** — the distinct-source fast path alone (what the miner
-//!   pays for a candidate that fails the threshold: no gather at all);
-//! * **partitioned** — the radix-partitioned parallel hash pair stage on a
-//!   real [`wiclean_core::MiningPool`] at 1/2/4/8 threads, asserted
-//!   byte-identical to the serial pair stream.
+//!   pays for a candidate that fails the threshold: no gather at all).
 //!
 //! Every strategy's (rows, support) digest is asserted equal, and a small
 //! cross-engine equivalence workload additionally checks sorted-row
@@ -26,13 +23,11 @@
 use serde::Serialize;
 use std::time::Instant;
 use wiclean_bench::{bench_miner_config, soccer_world, transfer_window};
-use wiclean_core::pool::MiningPool;
 use wiclean_core::WindowMiner;
-use wiclean_rel::rowstore::{join_glue_rows, join_glue_sort_merge_rows, RowTable};
+use wiclean_rel::rowstore::{join_glue_rows, RowTable};
 use wiclean_rel::{
-    distinct_left_values, join_glue, join_glue_nested, join_glue_pairs,
-    join_glue_pairs_partitioned, join_glue_sort_merge, materialize_pairs, ColumnGlue, Schema,
-    SerialRunner, Table,
+    distinct_left_values, join_glue, join_glue_nested, join_glue_pairs, join_glue_pairs_nested,
+    materialize_pairs, ColumnGlue, Schema, Table,
 };
 use wiclean_types::EntityId;
 
@@ -43,16 +38,6 @@ struct Strategy {
     wall_ms: f64,
     /// row-hash wall-clock divided by this strategy's.
     speedup_vs_row_hash: f64,
-}
-
-/// One point of the partitioned-join thread sweep.
-#[derive(Serialize)]
-struct PartitionedPoint {
-    threads: usize,
-    wall_ms: f64,
-    speedup_vs_serial: f64,
-    /// Pair stream byte-identical to the serial hash join's.
-    identical: bool,
 }
 
 /// Join-engine counters of the mining fast-path section.
@@ -75,7 +60,6 @@ struct Report {
     output_rows: usize,
     support: usize,
     strategies: Vec<Strategy>,
-    partitioned: Vec<PartitionedPoint>,
     fast_path: FastPath,
     outputs_equivalent: bool,
     /// The headline number: row-hash wall-clock over col-hash wall-clock.
@@ -179,10 +163,10 @@ fn timed(reps: usize, run: &mut dyn FnMut() -> Digest) -> (f64, Digest) {
     (median_ms(times), digest)
 }
 
-/// Cross-engine equivalence on a small workload: all three columnar
-/// strategies, the partitioned pair stage, and both row-oriented reference
-/// joins must produce identical sorted rows.
-fn assert_equivalence(threads: usize) {
+/// Cross-engine equivalence on a small workload: both columnar strategies
+/// and the row-oriented reference join must produce identical sorted rows,
+/// and the hash and nested-loop pair streams must be identical.
+fn assert_equivalence() {
     let mut rng = 0x5EED_u64;
     let left = left_table(1500, 120, &mut rng);
     let right = right_table(400, 120, &mut rng);
@@ -196,17 +180,7 @@ fn assert_equivalence(threads: usize) {
     };
     for (name, mut table) in [
         ("col-hash", join_glue(&left, &right, &g)),
-        ("col-sort-merge", join_glue_sort_merge(&left, &right, &g)),
         ("col-nested", join_glue_nested(&left, &right, &g)),
-        (
-            "col-partitioned",
-            materialize_pairs(
-                &left,
-                &right,
-                &g,
-                &join_glue_pairs_partitioned(&left, &right, &g, &MiningPool::new(threads)),
-            ),
-        ),
     ] {
         table.dedup();
         assert_eq!(
@@ -215,14 +189,10 @@ fn assert_equivalence(threads: usize) {
             "{name} diverges from row reference"
         );
     }
-    let mut rsm = join_glue_sort_merge_rows(&rl, &rr, &g);
-    rsm.dedup();
-    assert_eq!(rsm.sorted_rows(), reference, "row sort-merge diverges");
-    let serial = join_glue_pairs(&left, &right, &g);
     assert_eq!(
-        serial,
-        join_glue_pairs_partitioned(&left, &right, &g, &SerialRunner),
-        "partitioned(1) pair stream must be byte-identical"
+        join_glue_pairs(&left, &right, &g),
+        join_glue_pairs_nested(&left, &right, &g),
+        "hash and nested-loop pair streams must be byte-identical"
     );
 }
 
@@ -235,7 +205,7 @@ fn main() {
         (24_000, 6_000, 600, 5)
     };
 
-    assert_equivalence(8.min(host_cores.max(2)));
+    assert_equivalence();
     println!("cross-engine equivalence: ok");
 
     let mut rng = 0xF1C5_u64;
@@ -261,16 +231,8 @@ fn main() {
             Box::new(|| finish_rows(join_glue_rows(&rl, &rr, &g))),
         ),
         (
-            "row-sort-merge",
-            Box::new(|| finish_rows(join_glue_sort_merge_rows(&rl, &rr, &g))),
-        ),
-        (
             "col-hash",
             Box::new(|| finish(join_glue(&left, &right, &g))),
-        ),
-        (
-            "col-sort-merge",
-            Box::new(|| finish(join_glue_sort_merge(&left, &right, &g))),
         ),
         (
             "col-nested",
@@ -337,41 +299,6 @@ fn main() {
         });
     }
 
-    // Partitioned pair stage on a real pool, 1..8 threads. Byte-identity
-    // against the serial pair stream is asserted every round.
-    let mut partitioned = Vec::new();
-    let mut serial_ms = 0.0;
-    for &threads in &[1usize, 2, 4, 8] {
-        let pool = MiningPool::new(threads);
-        let mut identical = true;
-        let (wall_ms, _) = timed(reps, &mut || {
-            let p = join_glue_pairs_partitioned(&left, &right, &g, &pool);
-            identical &= p == pairs;
-            let support = distinct_left_values(&left, 0, &p).len();
-            let mut t = materialize_pairs(&left, &right, &g, &p);
-            t.dedup();
-            (t.len(), support)
-        });
-        if threads == 1 {
-            serial_ms = wall_ms;
-        }
-        if !identical {
-            eprintln!("partitioned({threads}): pair stream diverged");
-            equivalent = false;
-        }
-        let speedup = serial_ms / wall_ms;
-        println!(
-            "{:>16}  {wall_ms:>9.2} ms  {speedup:>5.2}x  threads={threads} identical={identical}",
-            "partitioned"
-        );
-        partitioned.push(PartitionedPoint {
-            threads,
-            wall_ms,
-            speedup_vs_serial: speedup,
-            identical,
-        });
-    }
-
     // Mining fast-path section: how many candidate tables the miner never
     // built while mining the planted transfer window.
     let world = soccer_world(if fast_mode { 60 } else { 150 }, 0x415);
@@ -402,7 +329,6 @@ fn main() {
         output_rows,
         support,
         strategies,
-        partitioned,
         fast_path: FastPath {
             rows_probed: s.rows_probed,
             pairs_matched: s.pairs_matched,

@@ -8,7 +8,7 @@
 //!    in a relational table; extending a pattern joins its table with the
 //!    new abstract action's table (equi-join on the glued variable,
 //!    inequality post-filter for the fresh variable). The `PM−join`
-//!    ablation flips [`JoinImpl`] to a nested loop.
+//!    ablation flips [`JoinImpl`](crate::config::JoinImpl) to a nested loop.
 //! 2. **Incremental graph construction.** Only revision histories of
 //!    entity types that occur in frequent patterns found so far are
 //!    fetched, parsed and reduced (Algorithm 1 lines 4–8). The `PM−inc`
@@ -22,7 +22,7 @@
 
 use crate::abstract_action::AbstractAction;
 use crate::cache::RealizationCache;
-use crate::config::{ExpansionMode, JoinImpl, MinerConfig};
+use crate::config::{ExpansionMode, MinerConfig};
 use crate::degraded::DegradedCoverage;
 use crate::interner::{PatternId, PatternInterner};
 use crate::pattern::{Pattern, WorkingPattern};
@@ -36,11 +36,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wiclean_rel::{
-    distinct_left_values, join_glue, join_glue_nested, join_glue_pairs, join_glue_pairs_nested,
-    join_glue_pairs_partitioned, join_glue_pairs_sort_merge, join_glue_sort_merge,
-    materialize_pairs, outer_join_glue, ColumnGlue, SerialRunner, Table,
-};
+use wiclean_rel::{distinct_left_values, materialize_pairs, outer_join_glue, ColumnGlue, Table};
 use wiclean_revstore::{
     reduce_actions, try_extract_actions_with, ActionCache, CacheLookup, ExtractMode,
     ExtractOutcome, FetchError, FetchSource,
@@ -165,28 +161,6 @@ pub struct MineStats {
     /// memory budget (0 for in-memory corpora).
     #[serde(default)]
     pub map_residency_releases: u64,
-    /// Joins whose first plan overshot its output budget and were aborted
-    /// mid-join and re-planned (0 when the adaptive planner is off).
-    #[serde(default)]
-    pub replans: usize,
-    /// Planned joins that reused a cached per-shape plan.
-    #[serde(default)]
-    pub plan_cache_hits: usize,
-    /// Planned joins planned from fresh sampled statistics.
-    #[serde(default)]
-    pub plan_cache_misses: usize,
-    /// Planned joins that ran the serial hash strategy (either build side).
-    #[serde(default)]
-    pub plan_picks_hash: usize,
-    /// Planned joins that ran the sort-merge strategy.
-    #[serde(default)]
-    pub plan_picks_sort_merge: usize,
-    /// Planned joins that ran the nested-loop strategy.
-    #[serde(default)]
-    pub plan_picks_nested: usize,
-    /// Planned joins that ran the radix-partitioned parallel strategy.
-    #[serde(default)]
-    pub plan_picks_partitioned: usize,
 }
 
 impl MineStats {
@@ -228,44 +202,6 @@ impl MineStats {
         self.snapshot_cache_evictions += other.snapshot_cache_evictions;
         self.delta_chain_replays += other.delta_chain_replays;
         self.map_residency_releases += other.map_residency_releases;
-        self.replans += other.replans;
-        self.plan_cache_hits += other.plan_cache_hits;
-        self.plan_cache_misses += other.plan_cache_misses;
-        self.plan_picks_hash += other.plan_picks_hash;
-        self.plan_picks_sort_merge += other.plan_picks_sort_merge;
-        self.plan_picks_nested += other.plan_picks_nested;
-        self.plan_picks_partitioned += other.plan_picks_partitioned;
-    }
-
-    /// Folds one planned join's outcome into the counters.
-    pub fn record_plan(&mut self, outcome: &wiclean_rel::PlanOutcome) {
-        if outcome.replanned {
-            self.replans += 1;
-        }
-        if outcome.cache_hit {
-            self.plan_cache_hits += 1;
-        }
-        if outcome.cache_miss {
-            self.plan_cache_misses += 1;
-        }
-        match outcome.picked {
-            wiclean_rel::Strategy::Hash => self.plan_picks_hash += 1,
-            wiclean_rel::Strategy::SortMerge => self.plan_picks_sort_merge += 1,
-            wiclean_rel::Strategy::NestedLoop => self.plan_picks_nested += 1,
-            wiclean_rel::Strategy::Partitioned => self.plan_picks_partitioned += 1,
-        }
-    }
-
-    /// Share of planned joins that reused a cached per-shape plan; 0 when
-    /// the planner never consulted its cache (off, forced, or only
-    /// fast-path joins ran).
-    pub fn plan_cache_hit_rate(&self) -> f64 {
-        let total = self.plan_cache_hits + self.plan_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.plan_cache_hits as f64 / total as f64
-        }
     }
 
     /// Folds an out-of-core corpus' counter snapshot into this run's stats
@@ -401,7 +337,6 @@ pub struct WindowMiner<'a> {
     action_cache: Option<Arc<ActionCache>>,
     interner: Arc<PatternInterner>,
     pool: Option<Arc<MiningPool>>,
-    planner: Arc<wiclean_rel::Planner>,
 }
 
 /// Internal expansion node: a frequent pattern under construction.
@@ -447,9 +382,6 @@ struct Evaluated {
     rows_probed: usize,
     /// Pairs the pair stage emitted (0 on cache hits).
     pairs_matched: usize,
-    /// What the adaptive planner did for this join (`None` on cache hits
-    /// and when the planner is off).
-    plan: Option<wiclean_rel::PlanOutcome>,
 }
 
 /// What evaluating one [`CandidateSpec`] produced.
@@ -486,7 +418,6 @@ impl<'a> WindowMiner<'a> {
             action_cache: None,
             interner: Arc::new(PatternInterner::new()),
             pool: None,
-            planner: Arc::new(wiclean_rel::Planner::new()),
         }
     }
 
@@ -528,15 +459,6 @@ impl<'a> WindowMiner<'a> {
         self
     }
 
-    /// Attaches a shared adaptive join planner (per-shape plan cache +
-    /// replan epoch): refinement iterations and streaming refreshes
-    /// sharing one planner reuse each other's proven plans. Whether joins
-    /// consult it is governed by [`MinerConfig::planner`].
-    pub fn with_planner(mut self, planner: Arc<wiclean_rel::Planner>) -> Self {
-        self.planner = planner;
-        self
-    }
-
     /// Attaches whatever caches `caches` carries (either cache may be
     /// absent; the pattern interner is always present and keeps the
     /// realization-cache/interner pairing consistent across miners).
@@ -544,7 +466,6 @@ impl<'a> WindowMiner<'a> {
         self.cache = caches.realizations;
         self.action_cache = caches.actions;
         self.interner = caches.patterns;
-        self.planner = caches.planner;
         self
     }
 
@@ -563,47 +484,9 @@ impl<'a> WindowMiner<'a> {
         }
     }
 
-    /// The batch runner for radix-partitioned join pair stages:
-    /// `join_threads == 1` forces serial joins, `0` (auto) reuses the
-    /// attached pool when there is one, and `n > 1` spins up a dedicated
-    /// pool when none is attached. Small joins fall back to the serial path
-    /// inside the join regardless.
-    pub(crate) fn join_pool(&self) -> Option<Arc<MiningPool>> {
-        match self.config.join_threads {
-            1 => None,
-            0 => self.pool.clone(),
-            n => self
-                .pool
-                .clone()
-                .or_else(|| Some(Arc::new(MiningPool::new(n)))),
-        }
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &MinerConfig {
         &self.config
-    }
-
-    /// Whether the adaptive planner drives this run's pair stages: on the
-    /// [`JoinImpl::Hash`] path when [`MinerConfig::planner`] enables it,
-    /// or whenever a forced plan is set. The `NestedLoop`/`SortMerge`
-    /// ablations otherwise keep forcing their strategy unplanned.
-    pub(crate) fn planner_active(&self) -> bool {
-        (self.config.planner.enabled && self.config.join_impl == JoinImpl::Hash)
-            || self.config.forced_plan.is_some()
-    }
-
-    /// The per-call planner knobs this config describes.
-    pub(crate) fn planner_settings(&self) -> wiclean_rel::PlannerSettings {
-        wiclean_rel::PlannerSettings {
-            replan_factor: self.config.planner.replan_factor,
-            forced: self.config.forced_plan,
-        }
-    }
-
-    /// The shared adaptive planner.
-    pub(crate) fn planner(&self) -> &Arc<wiclean_rel::Planner> {
-        &self.planner
     }
 
     /// The pattern interner (shared across miners driving one cache).
@@ -621,7 +504,6 @@ impl<'a> WindowMiner<'a> {
             "use mine_window_materialized for ExpansionMode::Materialized"
         );
         let pool = self.intra_pool();
-        let jpool = self.join_pool();
         let mut state = MineState::new();
         // Line 1: fetch + reduce + abstract the seed entities' actions.
         self.load_entities(
@@ -630,14 +512,7 @@ impl<'a> WindowMiner<'a> {
             window,
             pool.as_deref(),
         );
-        self.run_expansion(
-            state,
-            seed,
-            window,
-            false,
-            pool.as_deref(),
-            jpool.as_deref(),
-        )
+        self.run_expansion(state, seed, window, false, pool.as_deref())
     }
 
     /// The `PM−inc` entry point: the caller supplies the full entity set of
@@ -651,10 +526,9 @@ impl<'a> WindowMiner<'a> {
         entities: impl IntoIterator<Item = EntityId>,
     ) -> WindowResult {
         let pool = self.intra_pool();
-        let jpool = self.join_pool();
         let mut state = MineState::new();
         self.load_entities(&mut state, entities, window, pool.as_deref());
-        self.run_expansion(state, seed, window, true, pool.as_deref(), jpool.as_deref())
+        self.run_expansion(state, seed, window, true, pool.as_deref())
     }
 
     /// Fetches and extracts one entity's actions — through the shared
@@ -781,7 +655,6 @@ impl<'a> WindowMiner<'a> {
         window: &Window,
         materialized: bool,
         pool: Option<&MiningPool>,
-        jpool: Option<&MiningPool>,
     ) -> WindowResult {
         let t0 = Instant::now();
         let mut nodes: Vec<Node> = Vec::new();
@@ -807,7 +680,6 @@ impl<'a> WindowMiner<'a> {
                     seed,
                     Some((window, &fetched)),
                     pool,
-                    jpool,
                     &mut nodes,
                     &mut found,
                     &mut tested,
@@ -864,7 +736,7 @@ impl<'a> WindowMiner<'a> {
                 if !p.most_specific {
                     continue;
                 }
-                let (rels, rel_stats) = self.mine_relative(&state.rows, seed, p, pool, jpool);
+                let (rels, rel_stats) = self.mine_relative(&state.rows, seed, p, pool);
                 state.stats.absorb(&rel_stats);
                 p.rel_patterns = rels;
             }
@@ -959,7 +831,6 @@ impl<'a> WindowMiner<'a> {
         seed: TypeId,
         cache_ctx: Option<(&Window, &BTreeSet<TypeId>)>,
         pool: Option<&MiningPool>,
-        jpool: Option<&MiningPool>,
         nodes: &mut Vec<Node>,
         found: &mut HashSet<PatternId>,
         tested: &mut HashSet<(PatternId, Shape)>,
@@ -981,14 +852,14 @@ impl<'a> WindowMiner<'a> {
                 match pool {
                     Some(pool) if specs.len() > 1 && pool.width() > 1 => pool.map(&specs, |spec| {
                         self.evaluate_candidate(
-                            rows, frozen, known, seed, cache_ctx, jpool, spec, score, threshold,
+                            rows, frozen, known, seed, cache_ctx, spec, score, threshold,
                         )
                     }),
                     _ => specs
                         .iter()
                         .map(|spec| {
                             self.evaluate_candidate(
-                                rows, frozen, known, seed, cache_ctx, jpool, spec, score, threshold,
+                                rows, frozen, known, seed, cache_ctx, spec, score, threshold,
                             )
                         })
                         .collect(),
@@ -1079,7 +950,6 @@ impl<'a> WindowMiner<'a> {
         found: &HashSet<PatternId>,
         seed: TypeId,
         cache_ctx: Option<(&Window, &BTreeSet<TypeId>)>,
-        jpool: Option<&MiningPool>,
         spec: &CandidateSpec,
         score: &(dyn Fn(usize, usize, f64, f64) -> f64 + Sync),
         threshold: f64,
@@ -1118,7 +988,6 @@ impl<'a> WindowMiner<'a> {
                         materialized: false,
                         rows_probed: 0,
                         pairs_matched: 0,
-                        plan: None,
                     }));
                 }
             }
@@ -1132,36 +1001,8 @@ impl<'a> WindowMiner<'a> {
         let glue = candidate_glue(self.universe, &parent.wp, &spec.action, spec.target_is_new);
 
         // Pair stage: matching (left, right) row indices, no output rows
-        // built yet. Every strategy emits the same canonical pair order,
-        // so the adaptive planner's choice — and the fixed-heuristic
-        // fallback when it's disabled — are byte-identical at any runner
-        // width and any plan.
-        let (pairs, plan) = if self.planner_active() {
-            let serial = SerialRunner;
-            let runner: &dyn wiclean_rel::BatchRunner = match jpool {
-                Some(jpool) => jpool,
-                None => &serial,
-            };
-            let (pairs, outcome) = self.planner.pair_join(
-                &self.planner_settings(),
-                seed.index() as u64,
-                &parent.table,
-                &right,
-                &glue,
-                runner,
-            );
-            (pairs, Some(outcome))
-        } else {
-            let pairs = match self.config.join_impl {
-                JoinImpl::Hash => match jpool {
-                    Some(jpool) => join_glue_pairs_partitioned(&parent.table, &right, &glue, jpool),
-                    None => join_glue_pairs(&parent.table, &right, &glue),
-                },
-                JoinImpl::NestedLoop => join_glue_pairs_nested(&parent.table, &right, &glue),
-                JoinImpl::SortMerge => join_glue_pairs_sort_merge(&parent.table, &right, &glue),
-            };
-            (pairs, None)
-        };
+        // built yet.
+        let pairs = self.config.join_impl.pairs(&parent.table, &right, &glue);
 
         // Distinct-source fast path: the pattern's source variable is the
         // left table's column 0, and a join (deduped or not) cannot change
@@ -1192,7 +1033,6 @@ impl<'a> WindowMiner<'a> {
             materialized: accepted,
             rows_probed: parent.table.len(),
             pairs_matched: pairs.len(),
-            plan,
         }))
     }
 
@@ -1222,9 +1062,6 @@ impl<'a> WindowMiner<'a> {
             // duplicates were each evaluated against the frozen frontier.
             stats.rows_probed += ev.rows_probed;
             stats.pairs_matched += ev.pairs_matched;
-            if let Some(plan) = &ev.plan {
-                stats.record_plan(plan);
-            }
             if ev.via_cache {
                 stats.cache_hits += 1;
             } else {
@@ -1283,7 +1120,6 @@ impl<'a> WindowMiner<'a> {
         seed: TypeId,
         parent: &FoundPattern,
         pool: Option<&MiningPool>,
-        jpool: Option<&MiningPool>,
     ) -> (Vec<RelPattern>, MineStats) {
         let mut stats = MineStats::default();
 
@@ -1319,7 +1155,6 @@ impl<'a> WindowMiner<'a> {
             seed,
             None,
             pool,
-            jpool,
             &mut nodes,
             &mut found,
             &mut tested,
@@ -1420,26 +1255,9 @@ impl<'a> WindowMiner<'a> {
             let glue = vec![ColumnGlue::Glued(src_col), tgt_glue];
             table = if outer {
                 outer_join_glue(&table, &right, &glue)
-            } else if self.planner_active() {
-                // Planned path: same shape cache as candidate evaluation,
-                // keyed by the pattern's source type. Outcome counters are
-                // only accrued on the candidate-evaluation path; this
-                // helper has no stats sink.
-                let (pairs, _outcome) = self.planner.pair_join(
-                    &self.planner_settings(),
-                    first.source.ty.index() as u64,
-                    &table,
-                    &right,
-                    &glue,
-                    &SerialRunner,
-                );
-                materialize_pairs(&table, &right, &glue, &pairs)
             } else {
-                match self.config.join_impl {
-                    JoinImpl::Hash => join_glue(&table, &right, &glue),
-                    JoinImpl::NestedLoop => join_glue_nested(&table, &right, &glue),
-                    JoinImpl::SortMerge => join_glue_sort_merge(&table, &right, &glue),
-                }
+                let pairs = self.config.join_impl.pairs(&table, &right, &glue);
+                materialize_pairs(&table, &right, &glue, &pairs)
             };
             table.dedup();
         }
@@ -1572,13 +1390,23 @@ mod tests {
         let mut config = fx.config();
         let miner_h = WindowMiner::new(&fx.store, &fx.universe, config);
         let rh = miner_h.mine_window(fx.player_ty, &fx.window);
-        config.join_impl = JoinImpl::NestedLoop;
+        config.join_impl = crate::config::JoinImpl::NestedLoop;
         let miner_n = WindowMiner::new(&fx.store, &fx.universe, config);
         let rn = miner_n.mine_window(fx.player_ty, &fx.window);
 
-        let ph: BTreeSet<Pattern> = rh.patterns.iter().map(|p| p.pattern.clone()).collect();
-        let pn: BTreeSet<Pattern> = rn.patterns.iter().map(|p| p.pattern.clone()).collect();
-        assert_eq!(ph, pn, "PM and PM−join must find identical patterns");
+        assert_eq!(rh.patterns.len(), rn.patterns.len());
+        for (h, n) in rh.patterns.iter().zip(&rn.patterns) {
+            assert_eq!(
+                h.pattern, n.pattern,
+                "PM and PM−join must find identical patterns"
+            );
+            assert_eq!(h.table, n.table, "realization tables must be identical");
+        }
+        // `rows_probed` / `pairs_matched` count logical join work, so they
+        // do not depend on the join implementation.
+        assert!(rh.stats.pairs_matched > 0);
+        assert_eq!(rh.stats.rows_probed, rn.stats.rows_probed);
+        assert_eq!(rh.stats.pairs_matched, rn.stats.pairs_matched);
     }
 
     #[test]
@@ -1631,75 +1459,6 @@ mod tests {
         );
         assert!(r.stats.join_prune_rate() > 0.0);
         assert!(r.stats.pairs_matched >= r.stats.tables_materialized);
-    }
-
-    #[test]
-    fn forced_join_threads_agree_with_serial() {
-        let fx = soccer_fixture();
-        let mut config = fx.config();
-        config.join_threads = 1;
-        let serial =
-            WindowMiner::new(&fx.store, &fx.universe, config).mine_window(fx.player_ty, &fx.window);
-        config.join_threads = 4; // dedicated join pool, partitioned pair stage
-        let par =
-            WindowMiner::new(&fx.store, &fx.universe, config).mine_window(fx.player_ty, &fx.window);
-
-        assert_eq!(serial.patterns.len(), par.patterns.len());
-        for (a, b) in serial.patterns.iter().zip(&par.patterns) {
-            assert_eq!(a.pattern, b.pattern);
-            assert_eq!(a.support, b.support);
-            assert_eq!(a.table.sorted_rows(), b.table.sorted_rows());
-        }
-        assert_eq!(serial.stats.pairs_matched, par.stats.pairs_matched);
-    }
-
-    /// `rows_probed` / `pairs_matched` are *logical* join-work counters —
-    /// parent rows offered to the pair stage and pairs it matched — so
-    /// every forced (strategy × build side × partition count) plan must
-    /// report totals byte-identical to the default adaptive run.
-    #[test]
-    fn every_strategy_reports_identical_join_counters() {
-        use wiclean_rel::{BuildSide, JoinPlan, Strategy};
-        let fx = soccer_fixture();
-        let baseline = WindowMiner::new(&fx.store, &fx.universe, fx.config())
-            .mine_window(fx.player_ty, &fx.window);
-        assert!(baseline.stats.rows_probed > 0);
-        assert!(baseline.stats.pairs_matched > 0);
-
-        for strategy in [
-            Strategy::Hash,
-            Strategy::SortMerge,
-            Strategy::NestedLoop,
-            Strategy::Partitioned,
-        ] {
-            for build_side in [BuildSide::Left, BuildSide::Right] {
-                for partitions in [0u32, 4] {
-                    let mut config = fx.config();
-                    config.join_threads = 3; // give Partitioned a real pool
-                    config.forced_plan = Some(JoinPlan {
-                        strategy,
-                        build_side,
-                        partitions,
-                    });
-                    let r = WindowMiner::new(&fx.store, &fx.universe, config)
-                        .mine_window(fx.player_ty, &fx.window);
-                    let tag = format!("{strategy:?}/{build_side:?}/p{partitions}");
-                    assert_eq!(
-                        r.stats.rows_probed, baseline.stats.rows_probed,
-                        "rows_probed drifted under {tag}"
-                    );
-                    assert_eq!(
-                        r.stats.pairs_matched, baseline.stats.pairs_matched,
-                        "pairs_matched drifted under {tag}"
-                    );
-                    assert_eq!(r.patterns.len(), baseline.patterns.len(), "{tag}");
-                    for (a, b) in r.patterns.iter().zip(&baseline.patterns) {
-                        assert_eq!(a.pattern, b.pattern, "{tag}");
-                        assert_eq!(a.table.sorted_rows(), b.table.sorted_rows(), "{tag}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

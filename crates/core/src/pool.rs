@@ -212,20 +212,6 @@ impl MiningPool {
     }
 }
 
-/// The pool doubles as the relational engine's batch executor, so the
-/// radix-partitioned parallel hash join inside candidate evaluation runs on
-/// the same workers as the candidates themselves. Nested submission is safe
-/// (the submitting task participates in its own batch), so a spec evaluated
-/// on the pool may fan its join partitions back out without deadlock.
-impl wiclean_rel::BatchRunner for MiningPool {
-    fn run_batch(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
-        MiningPool::run_batch(self, n, f);
-    }
-    fn width(&self) -> usize {
-        MiningPool::width(self)
-    }
-}
-
 impl Drop for MiningPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);

@@ -251,36 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn report_carries_planner_counters() {
-        let fx = soccer_fixture();
-        let config = WcConfig {
-            w_min: fx.window.len(),
-            max_window: fx.window.len(),
-            timeline_start: 0,
-            timeline_end: fx.window.end,
-            miner: fx.config(),
-            ..WcConfig::default()
-        };
-        let result = find_windows_and_patterns(&fx.store, &fx.universe, fx.player_ty, &config);
-        let report = WcReport::from_result(&result, &fx.universe);
-        // The adaptive planner defaults on: every candidate join picked a
-        // strategy, and the pick/cache counters ride into the serialized
-        // report through `stats`.
-        let picks = report.stats.plan_picks_hash
-            + report.stats.plan_picks_sort_merge
-            + report.stats.plan_picks_nested
-            + report.stats.plan_picks_partitioned;
-        assert!(picks > 0, "stats: {:?}", report.stats);
-        // The fixture's joins are tiny, so they ride the small-join fast
-        // path without cache traffic — the counters still serialize.
-        let json = report.to_json();
-        assert!(json.contains("replans"));
-        assert!(json.contains("plan_cache_hits"));
-        assert!(json.contains("plan_cache_misses"));
-        assert!(json.contains("plan_picks_hash"));
-    }
-
-    #[test]
     fn report_carries_extract_skip_rate() {
         let fx = soccer_fixture();
         let config = WcConfig {

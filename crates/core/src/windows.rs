@@ -147,7 +147,6 @@ pub fn find_windows_and_patterns(
         let mut miner_config = config.miner;
         miner_config.tau = tau;
         miner_config.full_reparse_extract = !config.use_incremental_extract;
-        miner_config.planner.enabled = config.use_adaptive_planner;
         let outcomes = mine_windows_on_pool(
             source,
             universe,
@@ -509,7 +508,7 @@ mod cache_tests {
     }
 
     #[test]
-    fn adaptive_planner_ablation_matches() {
+    fn nested_loop_search_matches_hash() {
         let fx = soccer_fixture();
         let base = WcConfig {
             w_min: fx.window.len() / 2,
@@ -522,16 +521,14 @@ mod cache_tests {
             threads: 1,
             ..WcConfig::default()
         };
-        let mut planned = base;
-        planned.use_adaptive_planner = true;
-        let mut fixed = base;
-        fixed.use_adaptive_planner = false;
+        let mut nested = base;
+        nested.miner.join_impl = crate::config::JoinImpl::NestedLoop;
 
-        let a = find_windows_and_patterns(&fx.store, &fx.universe, fx.player_ty, &planned);
-        let b = find_windows_and_patterns(&fx.store, &fx.universe, fx.player_ty, &fixed);
+        let a = find_windows_and_patterns(&fx.store, &fx.universe, fx.player_ty, &base);
+        let b = find_windows_and_patterns(&fx.store, &fx.universe, fx.player_ty, &nested);
 
-        // The planner only picks *how* each join runs, never what it
-        // returns: the whole search trajectory must be byte-identical.
+        // The join implementation only decides *how* each join runs, never
+        // what it returns: the whole search trajectory must be identical.
         let pa: Vec<(P, usize)> = a
             .discovered
             .iter()
@@ -542,36 +539,12 @@ mod cache_tests {
             .iter()
             .map(|d| (d.pattern.clone(), d.support))
             .collect();
-        assert_eq!(pa, pb, "planning must not change the discovered set");
+        assert_eq!(pa, pb, "PM−join must not change the discovered set");
         assert_eq!(a.iterations, b.iterations);
         assert_eq!(a.stats.joins_executed, b.stats.joins_executed);
         assert_eq!(a.stats.candidates_considered, b.stats.candidates_considered);
         assert_eq!(a.stats.rows_probed, b.stats.rows_probed);
         assert_eq!(a.stats.pairs_matched, b.stats.pairs_matched);
-
-        // Every planned join picks some strategy; the ablated run plans
-        // nothing at all.
-        let picks = |s: &crate::MineStats| {
-            s.plan_picks_hash
-                + s.plan_picks_sort_merge
-                + s.plan_picks_nested
-                + s.plan_picks_partitioned
-        };
-        assert!(
-            picks(&a.stats) > 0,
-            "planner-on run must plan its joins: {:?}",
-            a.stats
-        );
-        assert_eq!(
-            (
-                picks(&b.stats),
-                b.stats.plan_cache_hits,
-                b.stats.plan_cache_misses,
-                b.stats.replans
-            ),
-            (0, 0, 0, 0),
-            "ablated run must not touch the planner"
-        );
     }
 }
 

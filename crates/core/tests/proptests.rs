@@ -267,17 +267,6 @@ fn exact_digest(result: &WindowResult) -> String {
     let mut stats = result.stats.clone();
     stats.preprocess = std::time::Duration::ZERO;
     stats.mine = std::time::Duration::ZERO;
-    // Planner counters depend on evaluation interleaving — the per-shape
-    // plan cache is shared across worker threads, so which join pays the
-    // miss (and which plan a replan lands on) varies run to run. The mined
-    // output stays byte-identical regardless; only the counters float.
-    stats.replans = 0;
-    stats.plan_cache_hits = 0;
-    stats.plan_cache_misses = 0;
-    stats.plan_picks_hash = 0;
-    stats.plan_picks_sort_merge = 0;
-    stats.plan_picks_nested = 0;
-    stats.plan_picks_partitioned = 0;
     format!("{:?}|{:?}|{:?}", result.patterns, stats, result.degraded)
 }
 
@@ -737,31 +726,19 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Forced-plan differential properties: the adaptive planner's contract is
-// that every (strategy × build side × partition count) produces the same
-// bytes — so a randomly forced plan must mine, stream, and crash-replay
-// identically to the default adaptive choice.
+// Join-implementation differential properties: the hash join and the
+// paper's nested-loop `PM−join` baseline emit the same canonical pair
+// stream, so mining, streaming and crash-replay under either, at any
+// intra-window thread count, must match the serial hash-join run.
 // ---------------------------------------------------------------------------
 
-use wiclean_rel::{BuildSide, JoinPlan, Strategy as PlanStrategy};
+use wiclean_core::config::JoinImpl;
 
-/// Decodes a proptest-drawn plan: any strategy, either build side, and a
-/// partition count covering the whole legal range (0 = derive from the
-/// runner width).
-fn drawn_plan(strategy_ix: usize, build_left: bool, part_ix: usize) -> JoinPlan {
-    JoinPlan {
-        strategy: [
-            PlanStrategy::Hash,
-            PlanStrategy::SortMerge,
-            PlanStrategy::NestedLoop,
-            PlanStrategy::Partitioned,
-        ][strategy_ix],
-        build_side: if build_left {
-            BuildSide::Left
-        } else {
-            BuildSide::Right
-        },
-        partitions: [0u32, 2, 4, 8, 16, 32, 64][part_ix],
+fn drawn_join_impl(nested: bool) -> JoinImpl {
+    if nested {
+        JoinImpl::NestedLoop
+    } else {
+        JoinImpl::Hash
     }
 }
 
@@ -769,60 +746,58 @@ proptest! {
     // Each case runs real mining; keep the case count modest.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Batch mining under any forced plan is identical to the default
-    /// adaptive plan — same patterns, supports, realization tables, and
-    /// logical join counters — at any thread count.
+    /// Batch mining under either join implementation, at any thread
+    /// count, is identical to the serial hash-join run — same patterns in
+    /// the same order, same realization tables row for row, same counters.
     #[test]
-    fn forced_plans_mine_byte_identically(
-        strategy_ix in 0usize..4,
-        build_left in any::<bool>(),
-        part_ix in 0usize..7,
+    fn join_impls_mine_byte_identically(
+        nested in any::<bool>(),
         threads in 1usize..5,
     ) {
         let (u, store, player_ty, window) = transfer_world();
         let baseline = WindowMiner::new(&store, &u, transfer_config())
             .mine_window(player_ty, &window);
         let mut config = transfer_config();
+        config.join_impl = drawn_join_impl(nested);
         config.intra_window_threads = threads;
-        config.join_threads = threads;
-        config.forced_plan = Some(drawn_plan(strategy_ix, build_left, part_ix));
-        let forced = WindowMiner::new(&store, &u, config).mine_window(player_ty, &window);
-        prop_assert_eq!(digest(&baseline), digest(&forced));
-        prop_assert_eq!(baseline.stats.rows_probed, forced.stats.rows_probed);
-        prop_assert_eq!(baseline.stats.pairs_matched, forced.stats.pairs_matched);
+        let drawn = WindowMiner::new(&store, &u, config).mine_window(player_ty, &window);
+        prop_assert!(baseline.stats.pairs_matched > 0);
+        prop_assert_eq!(baseline.stats.rows_probed, drawn.stats.rows_probed);
+        prop_assert_eq!(baseline.stats.pairs_matched, drawn.stats.pairs_matched);
+        prop_assert_eq!(exact_digest(&baseline), exact_digest(&drawn));
     }
 
-    /// The streaming miner under any forced plan seals every window to the
-    /// batch answer (which mines under the default adaptive plan) at any
-    /// arrival order — forced plans flow through the delta-join path too.
+    /// The streaming miner under either join implementation seals every
+    /// window to the batch answer (mined under the hash join at the drawn
+    /// thread count) at any arrival order. Its full joins follow the
+    /// drawn implementation; its delta joins always hash.
     #[test]
-    fn forced_plans_stream_byte_identically(
-        strategy_ix in 0usize..4,
-        build_left in any::<bool>(),
-        part_ix in 0usize..7,
+    fn join_impls_stream_byte_identically(
+        nested in any::<bool>(),
+        threads in 1usize..5,
         shuffle_seed in any::<u64>(),
         cadence in 1u64..4,
     ) {
         let (u, store, player_ty, _) = transfer_world();
         let mut cfg = stream_cfg(90, 200, cadence);
-        cfg.miner.forced_plan = Some(drawn_plan(strategy_ix, build_left, part_ix));
+        cfg.miner.join_impl = drawn_join_impl(nested);
+        cfg.miner.intra_window_threads = threads;
         assert_stream_matches_batch(
             &u,
             player_ty,
             drain(VecFeed::shuffled(feed_events(&store), shuffle_seed)),
             cfg,
-            2,
+            threads,
         )?;
     }
 
-    /// Crash-replay under a forced plan: a torn WAL write kills the feed,
-    /// recovery replays the delivered prefix, and streaming that replay
-    /// with any forced plan still seals to the batch answer.
+    /// Crash-replay under either join implementation: a torn WAL write
+    /// kills the feed, recovery replays the delivered prefix, and
+    /// streaming that replay still seals to the batch answer.
     #[test]
-    fn forced_plans_survive_wal_fault_replay(
-        strategy_ix in 0usize..4,
-        build_left in any::<bool>(),
-        part_ix in 0usize..7,
+    fn join_impls_survive_wal_fault_replay(
+        nested in any::<bool>(),
+        threads in 1usize..5,
         shuffle_seed in any::<u64>(),
         kill_at in 3u64..40,
     ) {
@@ -857,7 +832,8 @@ proptest! {
             replayed.push(e);
         }
         let mut cfg = stream_cfg(90, 200, 2);
-        cfg.miner.forced_plan = Some(drawn_plan(strategy_ix, build_left, part_ix));
-        assert_stream_matches_batch(&u, player_ty, replayed, cfg, 1)?;
+        cfg.miner.join_impl = drawn_join_impl(nested);
+        cfg.miner.intra_window_threads = threads;
+        assert_stream_matches_batch(&u, player_ty, replayed, cfg, threads)?;
     }
 }

@@ -47,18 +47,6 @@ pub struct TimedRun {
     /// materialization saving of the fast path.
     #[serde(default)]
     pub prune_rate: f64,
-    /// Mid-join bailouts that discarded partial work and re-planned.
-    #[serde(default)]
-    pub replans: usize,
-    /// Candidate joins whose plan came from the per-shape plan cache.
-    #[serde(default)]
-    pub plan_cache_hits: usize,
-    /// Candidate joins that sampled statistics and ran the cost model.
-    #[serde(default)]
-    pub plan_cache_misses: usize,
-    /// Share of planned joins served from the plan cache.
-    #[serde(default)]
-    pub plan_cache_hit_rate: f64,
 }
 
 /// The planted transfer window (first two weeks of "August").
@@ -112,10 +100,6 @@ fn timed_variant(
         tables_materialized: result.stats.tables_materialized,
         tables_pruned: result.stats.tables_pruned,
         prune_rate: result.stats.join_prune_rate(),
-        replans: result.stats.replans,
-        plan_cache_hits: result.stats.plan_cache_hits,
-        plan_cache_misses: result.stats.plan_cache_misses,
-        plan_cache_hit_rate: result.stats.plan_cache_hit_rate(),
     }
 }
 
@@ -483,7 +467,7 @@ pub fn render_corpus_runs(rows: &[CorpusRun]) -> String {
 /// the join engine's materialization-saving columns appended.
 pub fn render_timed(rows: &[TimedRun], axis: &str) -> String {
     let mut s = format!(
-        "{axis:>10} {:>12} {:>10} {:>12} {:>12} {:>9} {:>10} {:>8} {:>7} {:>7} {:>7} {:>9}\n",
+        "{axis:>10} {:>12} {:>10} {:>12} {:>12} {:>9} {:>10} {:>8} {:>7} {:>7}\n",
         "algorithm",
         "entities",
         "preproc(s)",
@@ -492,13 +476,11 @@ pub fn render_timed(rows: &[TimedRun], axis: &str) -> String {
         "probed",
         "mat",
         "pruned",
-        "save",
-        "replans",
-        "plan-hit"
+        "save"
     );
     for r in rows {
         s.push_str(&format!(
-            "{:>10} {:>12} {:>10} {:>12.3} {:>12.3} {:>9} {:>10} {:>8} {:>7} {:>6.0}% {:>7} {:>8.0}%\n",
+            "{:>10} {:>12} {:>10} {:>12.3} {:>12.3} {:>9} {:>10} {:>8} {:>7} {:>6.0}%\n",
             r.label,
             r.algorithm,
             r.entities,
@@ -508,9 +490,7 @@ pub fn render_timed(rows: &[TimedRun], axis: &str) -> String {
             r.rows_probed,
             r.tables_materialized,
             r.tables_pruned,
-            r.prune_rate * 100.0,
-            r.replans,
-            r.plan_cache_hit_rate * 100.0
+            r.prune_rate * 100.0
         ));
     }
     s
@@ -540,10 +520,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn render_timed_shows_planner_columns() {
+    fn render_timed_shows_join_columns() {
         let header = render_timed(&[], "seeds");
-        assert!(header.contains("replans"));
-        assert!(header.contains("plan-hit"));
+        assert!(header.contains("probed"));
+        assert!(header.contains("pruned"));
+        assert!(header.contains("save"));
     }
 
     #[test]

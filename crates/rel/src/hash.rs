@@ -4,9 +4,8 @@
 //! keys, and premixed 64-bit row hashes — short, non-adversarial keys for
 //! which std's SipHash (and its per-process `RandomState` seed) costs far
 //! more than it buys. A single multiply-mix round ([`mix64`]) disperses
-//! these keys just as well, and the determinism is load-bearing: radix
-//! partition assignment derives from key hashes and feeds the parallel
-//! join whose output must be byte-identical across runs and thread counts.
+//! these keys just as well, and without a per-process seed every run
+//! hashes identically.
 //!
 //! The row-oriented reference engine ([`crate::rowstore`]) deliberately
 //! keeps std hashing — it is the frozen seed implementation the benchmarks

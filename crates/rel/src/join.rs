@@ -11,28 +11,28 @@
 //!   against the same-type left columns (the paper requires distinct
 //!   variables to realize as distinct entities).
 //!
-//! Every strategy runs in two stages. The *pair* stage
-//! ([`join_glue_pairs`], [`join_glue_pairs_sort_merge`],
-//! [`join_glue_pairs_nested`], [`join_glue_pairs_partitioned`]) produces
-//! the stream of matching `(left row, right row)` index pairs with the
+//! Every join runs in two stages. The *pair* stage ([`join_glue_pairs`],
+//! [`join_glue_pairs_nested`], [`join_glue_pairs_delta`]) produces the
+//! stream of matching `(left row, right row)` index pairs with the
 //! `≠`-post-filter applied on column slices; the *materialize* stage
 //! ([`materialize_pairs`]) gathers the output columns once at the end.
 //! Candidate pruning consumes the pair stream directly
 //! ([`distinct_left_values`]) and skips materialization entirely for
 //! patterns that fail the frequency threshold.
 //!
-//! The table-in/table-out operators ([`join_glue`], [`join_glue_nested`],
-//! [`join_glue_sort_merge`], [`join_glue_partitioned`],
-//! [`outer_join_glue`]) are thin compositions of the two stages and keep
-//! the exact output row order of the row-oriented seed implementation
-//! (retained in [`crate::rowstore`] for differential testing).
+//! Every pair stage emits the same canonical order — ascending
+//! (left row, right row) — so the hash join, the nested loop and the delta
+//! join are interchangeable byte for byte. The table-in/table-out operators
+//! ([`join_glue`], [`join_glue_nested`], [`outer_join_glue`]) are thin
+//! compositions of the two stages and keep the exact output row order of
+//! the row-oriented reference implementation (retained in
+//! [`crate::rowstore`] for differential testing).
 
-use crate::column::{mix64, Value, NULL_IX};
+use crate::column::{Value, NULL_IX};
 use crate::hash::{EntitySet, FastMap};
 use crate::schema::Schema;
 use crate::table::Table;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::ops::Range;
 use wiclean_types::EntityId;
 
 /// How one right-hand column participates in a glue join.
@@ -53,38 +53,6 @@ pub enum ColumnGlue {
 /// A matched (left row, right row) index pair.
 pub type Pair = (u32, u32);
 
-/// Executes index batches on worker threads. Implemented by
-/// `core::pool::MiningPool`; defined here so `rel` can parallelize without
-/// depending on `core`. `run_batch` must invoke `f(i)` exactly once for
-/// every `i < n` (on any thread) and return after all invocations finish.
-pub trait BatchRunner: Sync {
-    /// Runs `f(0..n)`, blocking until all invocations complete.
-    fn run_batch(&self, n: usize, f: &(dyn Fn(usize) + Sync));
-    /// Worker count (1 = serial).
-    fn width(&self) -> usize;
-}
-
-/// A [`BatchRunner`] that runs everything on the caller.
-pub struct SerialRunner;
-
-impl BatchRunner for SerialRunner {
-    fn run_batch(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
-        for i in 0..n {
-            f(i);
-        }
-    }
-    fn width(&self) -> usize {
-        1
-    }
-}
-
-/// A pair-stage run exceeded its output budget: the partial work was
-/// discarded and the payload is the (approximate) pair count observed at
-/// the abort — at least one past the budget, an underestimate of the true
-/// output cardinality. See [`crate::plan`] for the re-planning loop that
-/// consumes this.
-pub(crate) type Overflow = usize;
-
 fn output_schema(left: &Table, glue: &[ColumnGlue]) -> Schema {
     let mut schema = left.schema().clone();
     for g in glue {
@@ -95,7 +63,7 @@ fn output_schema(left: &Table, glue: &[ColumnGlue]) -> Schema {
     schema
 }
 
-pub(crate) fn validate(left: &Table, right: &Table, glue: &[ColumnGlue]) {
+fn validate(left: &Table, right: &Table, glue: &[ColumnGlue]) {
     assert_eq!(
         glue.len(),
         right.width(),
@@ -115,16 +83,16 @@ pub(crate) fn validate(left: &Table, right: &Table, glue: &[ColumnGlue]) {
 
 /// The glue spec resolved to column indices: equi-join pairs in glue
 /// order, and new output columns with their `≠` constraint targets.
-pub(crate) struct GluePlan {
+struct GluePlan {
     /// (left column, right column) per `Glued` entry, in glue order.
-    pub(crate) glued: Vec<(usize, usize)>,
+    glued: Vec<(usize, usize)>,
     /// (right column, distinct-from left columns) per `New` entry, in
     /// glue order.
     new_cols: Vec<(usize, Vec<usize>)>,
 }
 
 impl GluePlan {
-    pub(crate) fn new(glue: &[ColumnGlue]) -> Self {
+    fn new(glue: &[ColumnGlue]) -> Self {
         let mut glued = Vec::new();
         let mut new_cols = Vec::new();
         for (j, g) in glue.iter().enumerate() {
@@ -139,18 +107,18 @@ impl GluePlan {
     }
 
     /// The glued-key columns of left row `li`, or `None` if any is null.
-    pub(crate) fn left_key(&self, left: &Table, li: usize) -> Option<JoinKey> {
+    fn left_key(&self, left: &Table, li: usize) -> Option<JoinKey> {
         pack_key(self.glued.iter().map(|&(lc, _)| left.col(lc).get(li)))
     }
 
     /// The glued-key columns of right row `ri`, or `None` if any is null.
-    pub(crate) fn right_key(&self, right: &Table, ri: usize) -> Option<JoinKey> {
+    fn right_key(&self, right: &Table, ri: usize) -> Option<JoinKey> {
         pack_key(self.glued.iter().map(|&(_, rc)| right.col(rc).get(ri)))
     }
 
     /// The `≠` post-filter on a key-matched pair. SQL three-valued logic:
     /// `≠` against a null is vacuously satisfied.
-    pub(crate) fn neq_ok(&self, left: &Table, li: usize, right: &Table, ri: usize) -> bool {
+    fn neq_ok(&self, left: &Table, li: usize, right: &Table, ri: usize) -> bool {
         for (rc, distinct_from) in &self.new_cols {
             let rcol = right.col(*rc);
             if !rcol.is_valid(ri) {
@@ -168,9 +136,9 @@ impl GluePlan {
     }
 
     /// Whether the pair satisfies all glue conditions (equi + `≠`); used
-    /// by the nested-loop strategy, which has no key index. A null never
+    /// by the nested loop, which has no key index. A null never
     /// equi-matches.
-    pub(crate) fn pair_matches(&self, left: &Table, li: usize, right: &Table, ri: usize) -> bool {
+    fn pair_matches(&self, left: &Table, li: usize, right: &Table, ri: usize) -> bool {
         for &(lc, rc) in &self.glued {
             let (l, r) = (left.col(lc), right.col(rc));
             if !l.is_valid(li) || !r.is_valid(ri) || l.value_unchecked(li) != r.value_unchecked(ri)
@@ -180,6 +148,74 @@ impl GluePlan {
         }
         self.neq_ok(left, li, right, ri)
     }
+
+    /// Probes left rows `rows`, in row order, against an index over right
+    /// rows. Pairs come out in canonical order.
+    fn probe_left(
+        &self,
+        left: &Table,
+        rows: Range<usize>,
+        right: &Table,
+        index: &FastMap<JoinKey, Vec<u32>>,
+    ) -> Vec<Pair> {
+        let mut pairs = Vec::new();
+        if index.is_empty() {
+            return pairs;
+        }
+        for li in rows {
+            let Some(candidates) = self.left_key(left, li).and_then(|k| index.get(&k)) else {
+                continue;
+            };
+            for &ri in candidates {
+                if self.neq_ok(left, li, right, ri as usize) {
+                    pairs.push((li as u32, ri));
+                }
+            }
+        }
+        pairs
+    }
+
+    /// Probes every right row against an index over left rows. Pairs come
+    /// out right-major; buckets are ascending and pairs distinct, so one
+    /// `sort_unstable` restores canonical order.
+    fn probe_right_sorted(
+        &self,
+        left: &Table,
+        right: &Table,
+        index: &FastMap<JoinKey, Vec<u32>>,
+    ) -> Vec<Pair> {
+        let mut pairs = Vec::new();
+        if index.is_empty() {
+            return pairs;
+        }
+        for ri in 0..right.len() {
+            let Some(candidates) = self.right_key(right, ri).and_then(|k| index.get(&k)) else {
+                continue;
+            };
+            for &li in candidates {
+                if self.neq_ok(left, li as usize, right, ri) {
+                    pairs.push((li, ri as u32));
+                }
+            }
+        }
+        pairs.sort_unstable();
+        pairs
+    }
+}
+
+/// Hash index over rows `rows` keyed by `key`; null keys are left out.
+/// Each bucket lists its rows in ascending order.
+fn index_rows(
+    rows: Range<usize>,
+    key: impl Fn(usize) -> Option<JoinKey>,
+) -> FastMap<JoinKey, Vec<u32>> {
+    let mut index: FastMap<JoinKey, Vec<u32>> = FastMap::default();
+    for i in rows {
+        if let Some(k) = key(i) {
+            index.entry(k).or_default().push(i as u32);
+        }
+    }
+    index
 }
 
 /// A row's glued-key columns, packed.
@@ -188,9 +224,8 @@ impl GluePlan {
 /// variables per extension) — packs into a single `u64`, avoiding a heap
 /// allocation per row on the build and probe sides of every join. Wider keys
 /// fall back to a `Vec`. Both sides of a join derive their key from the same
-/// glue spec, so arities always agree and `Eq`/`Ord`/`Hash` are consistent:
-/// the packed ordering equals the lexicographic `Vec<EntityId>` ordering.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// glue spec, so arities always agree and `Eq`/`Hash` are consistent.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum JoinKey {
     Small(u64),
     Big(Vec<EntityId>),
@@ -226,179 +261,22 @@ pub(crate) fn pack_key(vals: impl Iterator<Item = Value>) -> Option<JoinKey> {
     })
 }
 
-/// Deterministic hash of a key, used to assign radix partitions. Must not
-/// depend on process state (`RandomState` would) — partition assignment
-/// feeds the parallel join whose output is required to be byte-identical
-/// across runs and thread counts.
-pub(crate) fn key_hash(k: &JoinKey) -> u64 {
-    match k {
-        JoinKey::Small(x) => mix64(x ^ 0x9e37_79b9_7f4a_7c15),
-        JoinKey::Big(v) => {
-            let mut h = 0x9e37_79b9_7f4a_7c15u64;
-            for e in v {
-                h = mix64(h ^ u64::from(e.as_u32()));
-            }
-            h
-        }
-    }
-}
-
-/// Hash equijoin pair stage: builds a hash index over the right relation
-/// keyed by its glued columns, probes with the left relation in row order,
-/// and applies the `≠` post-filter. Pairs come out in (left row, right
-/// build order) order — the canonical order every strategy reproduces.
+/// Hash equijoin pair stage: indexes the smaller input by its glued
+/// columns (the right one when both are the same size), probes with the
+/// other, and applies the `≠` post-filter. Pairs come out in canonical
+/// (left row, right row) order either way: probing with the left side
+/// emits them in that order, and probing with the right side is followed
+/// by one sort.
 pub fn join_glue_pairs(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Vec<Pair> {
     validate(left, right, glue);
     let plan = GluePlan::new(glue);
-    hash_pairs(left, right, &plan)
-}
-
-pub(crate) fn hash_pairs(left: &Table, right: &Table, plan: &GluePlan) -> Vec<Pair> {
-    match hash_pairs_capped(left, right, plan, None) {
-        Ok(pairs) => pairs,
-        Err(_) => unreachable!("uncapped join cannot overflow"),
+    if left.len() < right.len() {
+        let index = index_rows(0..left.len(), |li| plan.left_key(left, li));
+        plan.probe_right_sorted(left, right, &index)
+    } else {
+        let index = index_rows(0..right.len(), |ri| plan.right_key(right, ri));
+        plan.probe_left(left, 0..left.len(), right, &index)
     }
-}
-
-/// [`hash_pairs`] with an output budget: aborts mid-probe (partial work
-/// discarded) once the pair count exceeds `cap`. `Ok` results are
-/// byte-identical to the uncapped run.
-pub(crate) fn hash_pairs_capped(
-    left: &Table,
-    right: &Table,
-    plan: &GluePlan,
-    cap: Option<usize>,
-) -> Result<Vec<Pair>, Overflow> {
-    let mut index: FastMap<JoinKey, Vec<u32>> = FastMap::default();
-    for ri in 0..right.len() {
-        if let Some(key) = plan.right_key(right, ri) {
-            index.entry(key).or_default().push(ri as u32);
-        }
-    }
-    let cap = cap.unwrap_or(usize::MAX);
-    let mut pairs = Vec::new();
-    for li in 0..left.len() {
-        let Some(key) = plan.left_key(left, li) else {
-            continue;
-        };
-        let Some(candidates) = index.get(&key) else {
-            continue;
-        };
-        for &ri in candidates {
-            if plan.neq_ok(left, li, right, ri as usize) {
-                pairs.push((li as u32, ri));
-            }
-        }
-        if pairs.len() > cap {
-            return Err(pairs.len());
-        }
-    }
-    Ok(pairs)
-}
-
-/// Build-side-swapped hash pair stage: indexes the **left** relation and
-/// probes with the right — the planner's choice when the left side dwarfs
-/// the right, trading the big build for a probe scan. Probing emits pairs
-/// in right-major order; per-bucket left candidates are ascending and all
-/// `(li, ri)` pairs are distinct, so one final `sort_unstable` restores
-/// exactly the canonical (left row, right row) order of
-/// [`join_glue_pairs`] — byte-identical output (property-tested in
-/// [`crate::plan`]).
-pub(crate) fn hash_pairs_build_left(
-    left: &Table,
-    right: &Table,
-    plan: &GluePlan,
-    cap: Option<usize>,
-) -> Result<Vec<Pair>, Overflow> {
-    let mut index: FastMap<JoinKey, Vec<u32>> = FastMap::default();
-    for li in 0..left.len() {
-        if let Some(key) = plan.left_key(left, li) {
-            index.entry(key).or_default().push(li as u32);
-        }
-    }
-    let cap = cap.unwrap_or(usize::MAX);
-    let mut pairs = Vec::new();
-    for ri in 0..right.len() {
-        let Some(key) = plan.right_key(right, ri) else {
-            continue;
-        };
-        let Some(candidates) = index.get(&key) else {
-            continue;
-        };
-        for &li in candidates {
-            if plan.neq_ok(left, li as usize, right, ri) {
-                pairs.push((li, ri as u32));
-            }
-        }
-        if pairs.len() > cap {
-            return Err(pairs.len());
-        }
-    }
-    pairs.sort_unstable();
-    Ok(pairs)
-}
-
-/// Sort–merge pair stage: both relations are decorated with their glued
-/// keys and sorted, and matching key groups are cross-checked. The pair
-/// stream is then reordered to the canonical hash-join order so all
-/// strategies materialize identical tables.
-pub fn join_glue_pairs_sort_merge(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Vec<Pair> {
-    validate(left, right, glue);
-    let plan = GluePlan::new(glue);
-    match sort_merge_pairs_capped(left, right, &plan, None) {
-        Ok(pairs) => pairs,
-        Err(_) => unreachable!("uncapped join cannot overflow"),
-    }
-}
-
-pub(crate) fn sort_merge_pairs_capped(
-    left: &Table,
-    right: &Table,
-    plan: &GluePlan,
-    cap: Option<usize>,
-) -> Result<Vec<Pair>, Overflow> {
-    let mut lkeys: Vec<(JoinKey, u32)> = (0..left.len())
-        .filter_map(|i| plan.left_key(left, i).map(|k| (k, i as u32)))
-        .collect();
-    let mut rkeys: Vec<(JoinKey, u32)> = (0..right.len())
-        .filter_map(|i| plan.right_key(right, i).map(|k| (k, i as u32)))
-        .collect();
-    lkeys.sort();
-    rkeys.sort();
-
-    let cap = cap.unwrap_or(usize::MAX);
-    let mut pairs = Vec::new();
-    let (mut li, mut ri) = (0usize, 0usize);
-    while li < lkeys.len() && ri < rkeys.len() {
-        match lkeys[li].0.cmp(&rkeys[ri].0) {
-            std::cmp::Ordering::Less => li += 1,
-            std::cmp::Ordering::Greater => ri += 1,
-            std::cmp::Ordering::Equal => {
-                // Delimit the equal-key groups on both sides (compared by
-                // reference — no key clone per group).
-                let key = &lkeys[li].0;
-                let lhi = lkeys[li..].partition_point(|(k, _)| k == key) + li;
-                let rhi = rkeys[ri..].partition_point(|(k, _)| k == key) + ri;
-                for &(_, l_ix) in &lkeys[li..lhi] {
-                    for &(_, r_ix) in &rkeys[ri..rhi] {
-                        if plan.neq_ok(left, l_ix as usize, right, r_ix as usize) {
-                            pairs.push((l_ix, r_ix));
-                        }
-                    }
-                }
-                if pairs.len() > cap {
-                    return Err(pairs.len());
-                }
-                li = lhi;
-                ri = rhi;
-            }
-        }
-    }
-    // Canonical order: left row, then right row. Within one key group the
-    // right side is already ascending, but left rows sharing a key arrive
-    // grouped by the sort, not by row number.
-    pairs.sort_unstable();
-    Ok(pairs)
 }
 
 /// Nested-loop pair stage over the cross product — the paper's `PM−join`
@@ -406,19 +284,6 @@ pub(crate) fn sort_merge_pairs_capped(
 pub fn join_glue_pairs_nested(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Vec<Pair> {
     validate(left, right, glue);
     let plan = GluePlan::new(glue);
-    match nested_pairs_capped(left, right, &plan, None) {
-        Ok(pairs) => pairs,
-        Err(_) => unreachable!("uncapped join cannot overflow"),
-    }
-}
-
-pub(crate) fn nested_pairs_capped(
-    left: &Table,
-    right: &Table,
-    plan: &GluePlan,
-    cap: Option<usize>,
-) -> Result<Vec<Pair>, Overflow> {
-    let cap = cap.unwrap_or(usize::MAX);
     let mut pairs = Vec::new();
     for li in 0..left.len() {
         for ri in 0..right.len() {
@@ -426,233 +291,8 @@ pub(crate) fn nested_pairs_capped(
                 pairs.push((li as u32, ri as u32));
             }
         }
-        if pairs.len() > cap {
-            return Err(pairs.len());
-        }
     }
-    Ok(pairs)
-}
-
-/// Inputs smaller than this on the probe side are not worth fanning out.
-/// With the adaptive planner enabled (the default) these two constants are
-/// superseded by its cost model; they remain the fixed-heuristic gate of
-/// [`join_glue_pairs_partitioned`] — the planner-off fallback.
-pub(crate) const PARALLEL_MIN_LEFT: usize = 4096;
-/// Build sides smaller than this are not worth partitioning.
-pub(crate) const PARALLEL_MIN_RIGHT: usize = 512;
-
-/// Radix-partitioned parallel hash join pair stage.
-///
-/// The build side is split into partitions by the high bits of a
-/// deterministic key hash; partition indexes are built as one batch on the
-/// runner, then contiguous probe-side chunks are probed as a second batch
-/// and their pair streams concatenated in chunk order. Partition
-/// assignment, per-bucket order, and chunk concatenation are all
-/// independent of the worker count, so the result is **byte-identical** to
-/// [`join_glue_pairs`] at any `width()` — the same determinism contract
-/// the mining pool established. Small inputs fall back to the serial
-/// strategy.
-pub fn join_glue_pairs_partitioned(
-    left: &Table,
-    right: &Table,
-    glue: &[ColumnGlue],
-    runner: &dyn BatchRunner,
-) -> Vec<Pair> {
-    validate(left, right, glue);
-    if runner.width() <= 1 || left.len() < PARALLEL_MIN_LEFT || right.len() < PARALLEL_MIN_RIGHT {
-        let plan = GluePlan::new(glue);
-        return hash_pairs(left, right, &plan);
-    }
-    let plan = GluePlan::new(glue);
-    partitioned_pairs(left, right, &plan, runner)
-}
-
-/// Runs `f` over `0..n` on the runner and collects results in index order.
-pub(crate) fn par_map<R: Send>(
-    runner: &dyn BatchRunner,
-    n: usize,
-    f: impl Fn(usize) -> R + Sync,
-) -> Vec<R> {
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    runner.run_batch(n, &|i| {
-        let r = f(i);
-        *slots[i].lock().unwrap() = Some(r);
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("batch task did not run"))
-        .collect()
-}
-
-fn partitioned_pairs(
-    left: &Table,
-    right: &Table,
-    plan: &GluePlan,
-    runner: &dyn BatchRunner,
-) -> Vec<Pair> {
-    match partitioned_pairs_capped(
-        left,
-        right,
-        plan,
-        runner,
-        default_partitions(runner),
-        false,
-        None,
-    ) {
-        Ok(pairs) => pairs,
-        Err(_) => unreachable!("uncapped join cannot overflow"),
-    }
-}
-
-/// The fixed-heuristic radix fanout: twice the runner width, a power of
-/// two. The adaptive planner may choose any other power of two in `2..=64`.
-pub(crate) fn default_partitions(runner: &dyn BatchRunner) -> usize {
-    (runner.width() * 2).next_power_of_two().clamp(2, 64)
-}
-
-/// Radix-partitioned pair stage with a selectable build side, partition
-/// count, and output budget.
-///
-/// `parts` must be a power of two in `2..=64`. With `build_left = false`
-/// (the classic shape) the right side is scattered and indexed and the
-/// left side probes in contiguous chunks, so pairs come out in canonical
-/// (left row, right row) order directly. With `build_left = true` the
-/// roles swap: the left side is indexed and right-side probe chunks emit
-/// right-major pairs, and one final `sort_unstable` restores the
-/// canonical order — the pair set is identical and pairs are distinct,
-/// so the sorted stream is byte-identical to the build-right stream.
-///
-/// `cap` is the re-planning budget: probe chunks publish their emitted
-/// pair counts to a shared counter and cooperatively abort once the
-/// total exceeds the cap, returning `Err` with the approximate count
-/// observed at abort. The success path is byte-identical to the
-/// uncapped run (the counter never alters what is emitted, only whether
-/// the join runs to completion).
-pub(crate) fn partitioned_pairs_capped(
-    left: &Table,
-    right: &Table,
-    plan: &GluePlan,
-    runner: &dyn BatchRunner,
-    parts: usize,
-    build_left: bool,
-    cap: Option<usize>,
-) -> Result<Vec<Pair>, Overflow> {
-    assert!(
-        parts.is_power_of_two() && (2..=64).contains(&parts),
-        "partition count must be a power of two in 2..=64"
-    );
-    let shift = 64 - parts.trailing_zeros();
-    let (build, probe) = if build_left {
-        (left, right)
-    } else {
-        (right, left)
-    };
-    let build_key = |bi: usize| {
-        if build_left {
-            plan.left_key(build, bi)
-        } else {
-            plan.right_key(build, bi)
-        }
-    };
-
-    // Scatter the build side: key + radix partition per row, row order
-    // preserved within each partition (so per-bucket candidate lists come
-    // out ascending, exactly as the serial build produces them).
-    let mut bkeys: Vec<Option<JoinKey>> = Vec::with_capacity(build.len());
-    let mut part_rows: Vec<Vec<u32>> = vec![Vec::new(); parts];
-    for bi in 0..build.len() {
-        let key = build_key(bi);
-        if let Some(k) = &key {
-            part_rows[(key_hash(k) >> shift) as usize].push(bi as u32);
-        }
-        bkeys.push(key);
-    }
-
-    // Build one hash index per partition, as a pool batch.
-    let indexes: Vec<FastMap<JoinKey, Vec<u32>>> = par_map(runner, parts, |p| {
-        let mut index: FastMap<JoinKey, Vec<u32>> = FastMap::default();
-        for &bi in &part_rows[p] {
-            let key = bkeys[bi as usize].clone().expect("scattered row has key");
-            index.entry(key).or_default().push(bi);
-        }
-        index
-    });
-
-    // Probe contiguous chunks of the probe side in parallel; concatenating
-    // the chunk results in chunk order restores the serial probe order.
-    // The budget is enforced cooperatively: each chunk publishes its
-    // emitted count per probe row and bails once the global total exceeds
-    // the cap.
-    let cap_val = cap.unwrap_or(usize::MAX);
-    let emitted = AtomicUsize::new(0);
-    let aborted = AtomicBool::new(false);
-    let tasks = (runner.width() * 4).clamp(1, probe.len().max(1));
-    let chunk = probe.len().div_ceil(tasks).max(1);
-    let chunk_pairs: Vec<Vec<Pair>> = par_map(runner, tasks, |t| {
-        let lo = t * chunk;
-        let hi = ((t + 1) * chunk).min(probe.len());
-        let mut pairs = Vec::new();
-        let mut published = 0usize;
-        for pi in lo..hi {
-            if cap.is_some() && pi % 64 == 0 && aborted.load(Ordering::Relaxed) {
-                return pairs;
-            }
-            let key = if build_left {
-                plan.right_key(probe, pi)
-            } else {
-                plan.left_key(probe, pi)
-            };
-            let Some(key) = key else {
-                continue;
-            };
-            let index = &indexes[(key_hash(&key) >> shift) as usize];
-            let Some(candidates) = index.get(&key) else {
-                continue;
-            };
-            for &bi in candidates {
-                let (li, ri) = if build_left {
-                    (bi, pi as u32)
-                } else {
-                    (pi as u32, bi)
-                };
-                if plan.neq_ok(left, li as usize, right, ri as usize) {
-                    pairs.push((li, ri));
-                }
-            }
-            if cap.is_some() && pairs.len() - published >= 256 {
-                let total = emitted.fetch_add(pairs.len() - published, Ordering::Relaxed)
-                    + pairs.len()
-                    - published;
-                published = pairs.len();
-                if total > cap_val {
-                    aborted.store(true, Ordering::Relaxed);
-                    return pairs;
-                }
-            }
-        }
-        if cap.is_some() {
-            let total = emitted.fetch_add(pairs.len() - published, Ordering::Relaxed) + pairs.len()
-                - published;
-            if total > cap_val {
-                aborted.store(true, Ordering::Relaxed);
-            }
-        }
-        pairs
-    });
-
-    let total: usize = chunk_pairs.iter().map(Vec::len).sum();
-    if aborted.load(Ordering::Relaxed) || total > cap_val {
-        return Err(total.max(emitted.load(Ordering::Relaxed)));
-    }
-    let mut pairs = Vec::with_capacity(total);
-    for mut c in chunk_pairs {
-        pairs.append(&mut c);
-    }
-    if build_left {
-        // Right-major emission within each chunk; restore canonical order.
-        pairs.sort_unstable();
-    }
-    Ok(pairs)
+    pairs
 }
 
 /// Delta-aware pair stage for append-only growth (the streaming miner).
@@ -667,7 +307,7 @@ pub(crate) fn partitioned_pairs_capped(
 /// set, letting callers extend support sets and materialized tables
 /// without re-joining the prefix.
 ///
-/// The deltas are the build sides: part one indexes `Δright` and probes
+/// The deltas are the indexed sides: part one indexes `Δright` and probes
 /// the stable left prefix in row order (canonical order falls out); part
 /// two indexes `Δleft` and probes the entire right side, then sorts its
 /// small tail back to canonical order. The two parts cover disjoint
@@ -680,170 +320,14 @@ pub fn join_glue_pairs_delta(
     glue: &[ColumnGlue],
 ) -> Vec<Pair> {
     validate(left, right, glue);
-    let plan = GluePlan::new(glue);
-    delta_pairs(left, left_old, right, right_old, &plan, &SerialRunner)
-}
-
-/// [`join_glue_pairs_delta`] with the probe sides chunked across a
-/// [`BatchRunner`]; byte-identical to the serial variant at any
-/// `width()` (chunk concatenation restores probe order, and part two is
-/// sorted regardless).
-pub fn join_glue_pairs_delta_partitioned(
-    left: &Table,
-    left_old: usize,
-    right: &Table,
-    right_old: usize,
-    glue: &[ColumnGlue],
-    runner: &dyn BatchRunner,
-) -> Vec<Pair> {
-    validate(left, right, glue);
-    let plan = GluePlan::new(glue);
-    delta_pairs(left, left_old, right, right_old, &plan, runner)
-}
-
-fn delta_pairs(
-    left: &Table,
-    left_old: usize,
-    right: &Table,
-    right_old: usize,
-    plan: &GluePlan,
-    runner: &dyn BatchRunner,
-) -> Vec<Pair> {
     assert!(left_old <= left.len(), "left_old beyond left length");
     assert!(right_old <= right.len(), "right_old beyond right length");
-
-    // Part one: stable left prefix × appended right rows. The delta is
-    // the build side; per-bucket row order is ascending (insertion order)
-    // and the prefix probes in row order, so pairs come out canonical.
-    // An empty build side can't match anything — skip the probe scan
-    // entirely (the common one-sided-growth case pays for one part only).
-    let mut index: FastMap<JoinKey, Vec<u32>> = FastMap::default();
-    for ri in right_old..right.len() {
-        if let Some(key) = plan.right_key(right, ri) {
-            index.entry(key).or_default().push(ri as u32);
-        }
-    }
-    let mut pairs = if index.is_empty() {
-        Vec::new()
-    } else {
-        probe_left_range(left, 0, left_old, right, plan, &index, runner)
-    };
-
-    // Part two: appended left rows × the full right side. Probing by
-    // right row emits (right, left) order; the tail is small, so sort it
-    // back to canonical and append — its left rows all sit at or past
-    // `left_old`, keeping the concatenation globally ordered.
-    index.clear();
-    for li in left_old..left.len() {
-        if let Some(key) = plan.left_key(left, li) {
-            index.entry(key).or_default().push(li as u32);
-        }
-    }
-    let mut tail = if index.is_empty() {
-        Vec::new()
-    } else {
-        probe_right_range(left, right, plan, &index, runner)
-    };
-    tail.sort_unstable();
-    pairs.append(&mut tail);
+    let plan = GluePlan::new(glue);
+    let index = index_rows(right_old..right.len(), |ri| plan.right_key(right, ri));
+    let mut pairs = plan.probe_left(left, 0..left_old, right, &index);
+    let index = index_rows(left_old..left.len(), |li| plan.left_key(left, li));
+    pairs.append(&mut plan.probe_right_sorted(left, right, &index));
     pairs
-}
-
-/// Probes left rows `lo..hi` against an index over right rows, in left
-/// row order (chunk-parallel when the range is large).
-fn probe_left_range(
-    left: &Table,
-    lo: usize,
-    hi: usize,
-    right: &Table,
-    plan: &GluePlan,
-    index: &FastMap<JoinKey, Vec<u32>>,
-    runner: &dyn BatchRunner,
-) -> Vec<Pair> {
-    if index.is_empty() || lo >= hi {
-        return Vec::new();
-    }
-    let probe_one = |li: usize, pairs: &mut Vec<Pair>| {
-        let Some(key) = plan.left_key(left, li) else {
-            return;
-        };
-        let Some(candidates) = index.get(&key) else {
-            return;
-        };
-        for &ri in candidates {
-            if plan.neq_ok(left, li, right, ri as usize) {
-                pairs.push((li as u32, ri));
-            }
-        }
-    };
-    let n = hi - lo;
-    if runner.width() <= 1 || n < PARALLEL_MIN_LEFT {
-        let mut pairs = Vec::new();
-        for li in lo..hi {
-            probe_one(li, &mut pairs);
-        }
-        return pairs;
-    }
-    let tasks = (runner.width() * 4).min(n);
-    let chunk = n.div_ceil(tasks);
-    let chunk_pairs = par_map(runner, tasks, |t| {
-        let clo = lo + t * chunk;
-        let chi = (lo + (t + 1) * chunk).min(hi);
-        let mut pairs = Vec::new();
-        for li in clo..chi {
-            probe_one(li, &mut pairs);
-        }
-        pairs
-    });
-    chunk_pairs.concat()
-}
-
-/// Probes every right row against an index over left rows, emitting
-/// (left, right) pairs in right-major order (chunk-parallel when the
-/// right side is large); callers sort the result.
-fn probe_right_range(
-    left: &Table,
-    right: &Table,
-    plan: &GluePlan,
-    index: &FastMap<JoinKey, Vec<u32>>,
-    runner: &dyn BatchRunner,
-) -> Vec<Pair> {
-    if index.is_empty() || right.is_empty() {
-        return Vec::new();
-    }
-    let probe_one = |ri: usize, pairs: &mut Vec<Pair>| {
-        let Some(key) = plan.right_key(right, ri) else {
-            return;
-        };
-        let Some(candidates) = index.get(&key) else {
-            return;
-        };
-        for &li in candidates {
-            if plan.neq_ok(left, li as usize, right, ri) {
-                pairs.push((li, ri as u32));
-            }
-        }
-    };
-    let n = right.len();
-    if runner.width() <= 1 || n < PARALLEL_MIN_LEFT {
-        let mut pairs = Vec::new();
-        for ri in 0..n {
-            probe_one(ri, &mut pairs);
-        }
-        return pairs;
-    }
-    let tasks = (runner.width() * 4).min(n);
-    let chunk = n.div_ceil(tasks);
-    let chunk_pairs = par_map(runner, tasks, |t| {
-        let lo = t * chunk;
-        let hi = ((t + 1) * chunk).min(n);
-        let mut pairs = Vec::new();
-        for ri in lo..hi {
-            probe_one(ri, &mut pairs);
-        }
-        pairs
-    });
-    chunk_pairs.concat()
 }
 
 /// Materialize stage: gathers the output columns of a pair stream once —
@@ -904,30 +388,11 @@ pub fn join_glue(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Table {
     materialize_pairs(left, right, glue, &pairs)
 }
 
-/// The same operator computed by sort–merge; semantically identical
-/// (property-tested).
-pub fn join_glue_sort_merge(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Table {
-    let pairs = join_glue_pairs_sort_merge(left, right, glue);
-    materialize_pairs(left, right, glue, &pairs)
-}
-
 /// The same operator computed by a conventional main-memory nested loop
 /// over the cross product — the paper's `PM−join` baseline. Semantically
 /// identical to [`join_glue`] (property-tested), asymptotically slower.
 pub fn join_glue_nested(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Table {
     let pairs = join_glue_pairs_nested(left, right, glue);
-    materialize_pairs(left, right, glue, &pairs)
-}
-
-/// The same operator computed by the radix-partitioned parallel hash join;
-/// byte-identical to [`join_glue`] at any worker count.
-pub fn join_glue_partitioned(
-    left: &Table,
-    right: &Table,
-    glue: &[ColumnGlue],
-    runner: &dyn BatchRunner,
-) -> Table {
-    let pairs = join_glue_pairs_partitioned(left, right, glue, runner);
     materialize_pairs(left, right, glue, &pairs)
 }
 
@@ -947,26 +412,18 @@ pub fn join_glue_partitioned(
 pub fn outer_join_glue(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Table {
     validate(left, right, glue);
     let plan = GluePlan::new(glue);
-
-    let mut index: FastMap<JoinKey, Vec<u32>> = FastMap::default();
-    for ri in 0..right.len() {
-        if let Some(key) = plan.right_key(right, ri) {
-            index.entry(key).or_default().push(ri as u32);
-        }
-    }
+    let index = index_rows(0..right.len(), |ri| plan.right_key(right, ri));
 
     let mut right_matched = vec![false; right.len()];
     let mut pairs: Vec<Pair> = Vec::new();
     for li in 0..left.len() {
         let mut l_matched = false;
-        if let Some(key) = plan.left_key(left, li) {
-            if let Some(candidates) = index.get(&key) {
-                for &ri in candidates {
-                    if plan.neq_ok(left, li, right, ri as usize) {
-                        pairs.push((li as u32, ri));
-                        l_matched = true;
-                        right_matched[ri as usize] = true;
-                    }
+        if let Some(candidates) = plan.left_key(left, li).and_then(|k| index.get(&k)) {
+            for &ri in candidates {
+                if plan.neq_ok(left, li, right, ri as usize) {
+                    pairs.push((li as u32, ri));
+                    l_matched = true;
+                    right_matched[ri as usize] = true;
                 }
             }
         }
@@ -1072,47 +529,14 @@ mod tests {
     }
 
     #[test]
-    fn sort_merge_agrees_with_hash() {
-        let h = join_glue(&left_table(), &right_table(), &glue());
-        let m = join_glue_sort_merge(&left_table(), &right_table(), &glue());
-        assert_eq!(h.sorted_rows(), m.sorted_rows());
-    }
-
-    #[test]
-    fn sort_merge_handles_duplicate_keys() {
-        let left = Table::from_rows(
-            Schema::new(["player", "old_team"]),
-            [vec![v(1), v(10)], vec![v(1), v(20)], vec![v(2), v(30)]],
-        );
-        let right = Table::from_rows(
-            Schema::new(["player", "new_team"]),
-            [vec![v(1), v(11)], vec![v(1), v(12)]],
-        );
-        let h = join_glue(&left, &right, &glue());
-        let m = join_glue_sort_merge(&left, &right, &glue());
-        assert_eq!(h.sorted_rows(), m.sorted_rows());
-        assert_eq!(m.len(), 4, "2 left × 2 right key-1 rows");
-    }
-
-    #[test]
-    fn sort_merge_skips_null_keys() {
-        let left = Table::from_rows(
-            Schema::new(["player", "old_team"]),
-            [vec![None, v(10)], vec![v(1), v(10)]],
-        );
-        let m = join_glue_sort_merge(&left, &right_table(), &glue());
-        assert_eq!(m.len(), 1);
-    }
-
-    #[test]
     fn pair_stages_agree_exactly() {
         // The pair streams (not just the materialized sets) must coincide:
         // the miner's fast path counts support off the raw stream.
         let (l, r, g) = (left_table(), right_table(), glue());
-        let h = join_glue_pairs(&l, &r, &g);
-        assert_eq!(h, join_glue_pairs_sort_merge(&l, &r, &g));
-        assert_eq!(h, join_glue_pairs_nested(&l, &r, &g));
-        assert_eq!(h, join_glue_pairs_partitioned(&l, &r, &g, &SerialRunner));
+        assert_eq!(
+            join_glue_pairs(&l, &r, &g),
+            join_glue_pairs_nested(&l, &r, &g)
+        );
     }
 
     #[test]
@@ -1246,32 +670,7 @@ mod tests {
         assert_eq!(fast, full.distinct_values(0));
     }
 
-    /// A thread-per-task runner for exercising the partitioned join with
-    /// real concurrency (core's MiningPool is not visible from here).
-    struct TestRunner(usize);
-
-    impl BatchRunner for TestRunner {
-        fn width(&self) -> usize {
-            self.0
-        }
-        fn run_batch(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..self.0.min(n).max(1) {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::SeqCst);
-                        if i >= n {
-                            break;
-                        }
-                        f(i);
-                    });
-                }
-            });
-        }
-    }
-
-    /// Pseudo-random tables big enough to clear the parallel gate.
+    /// Pseudo-random tables with many duplicate keys.
     fn big_tables() -> (Table, Table) {
         let mut state = 0x1234_5678_9abc_def0u64;
         let mut next = move |m: u32| {
@@ -1281,36 +680,30 @@ mod tests {
             (state % u64::from(m)) as u32
         };
         let mut left = Table::new(Schema::new(["player", "old_team"]));
-        for _ in 0..PARALLEL_MIN_LEFT + 500 {
+        for _ in 0..4596 {
             left.push_row(&[v(next(1500)), v(next(40))]);
         }
         let mut right = Table::new(Schema::new(["player", "new_team"]));
-        for _ in 0..PARALLEL_MIN_RIGHT + 700 {
+        for _ in 0..1212 {
             right.push_row(&[v(next(1500)), v(next(40))]);
         }
         (left, right)
     }
 
     #[test]
-    fn partitioned_join_is_byte_identical_across_widths() {
+    fn either_build_side_emits_the_nested_loop_stream() {
         let (left, right) = big_tables();
+        let rows = |n: u32| (0..n).collect::<Vec<u32>>();
+        let left_small = left.gather(&rows(300));
+        let left_equal = left.gather(&rows(right.len() as u32));
         let g = glue();
-        let serial = join_glue_pairs(&left, &right, &g);
-        assert!(!serial.is_empty(), "workload must produce matches");
-        for width in [2, 3, 8] {
-            let par = join_glue_pairs_partitioned(&left, &right, &g, &TestRunner(width));
-            assert_eq!(serial, par, "width {width} diverged");
+        // Right side smaller (indexed), left side smaller (indexed, then
+        // sorted back to canonical order), equal sizes (right indexed).
+        for l in [&left, &left_small, &left_equal] {
+            let pairs = join_glue_pairs(l, &right, &g);
+            assert!(!pairs.is_empty(), "workload must produce matches");
+            assert_eq!(pairs, join_glue_pairs_nested(l, &right, &g));
         }
-        let t_serial = join_glue(&left, &right, &g);
-        let t_par = join_glue_partitioned(&left, &right, &g, &TestRunner(8));
-        assert_eq!(t_serial, t_par, "materialized tables must be identical");
-    }
-
-    #[test]
-    fn partitioned_join_small_input_falls_back() {
-        let g = glue();
-        let par = join_glue_pairs_partitioned(&left_table(), &right_table(), &g, &TestRunner(8));
-        assert_eq!(par, join_glue_pairs(&left_table(), &right_table(), &g));
     }
 
     /// The full pair stream restricted to pairs touching an appended row
@@ -1360,26 +753,6 @@ mod tests {
             join_glue_pairs_delta(&l, 0, &r, 0, &g),
             join_glue_pairs(&l, &r, &g)
         );
-    }
-
-    #[test]
-    fn delta_join_partitioned_is_byte_identical_across_widths() {
-        let (left, right) = big_tables();
-        let g = glue();
-        let (left_old, right_old) = (left.len() / 3, right.len() / 3);
-        let serial = join_glue_pairs_delta(&left, left_old, &right, right_old, &g);
-        assert!(!serial.is_empty());
-        for width in [2, 3, 8] {
-            let par = join_glue_pairs_delta_partitioned(
-                &left,
-                left_old,
-                &right,
-                right_old,
-                &g,
-                &TestRunner(width),
-            );
-            assert_eq!(serial, par, "width {width} diverged");
-        }
     }
 
     #[test]

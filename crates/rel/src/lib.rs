@@ -10,18 +10,16 @@
 //! * [`join::join_glue`] — the hash equijoin with *gluing* semantics used
 //!   to extend a pattern's realization table with a new abstract action's
 //!   realizations (equi-conditions on glued variables, `≠` constraints
-//!   against same-type columns for freshly introduced variables). Joins are
-//!   **late-materialized**: a pair stage emits matching row-index pairs
+//!   against same-type columns for freshly introduced variables). It
+//!   indexes the smaller input and emits the same canonical pair order
+//!   whichever side that is. Joins are **late-materialized**: a pair stage
+//!   emits matching row-index pairs
 //!   ([`join::join_glue_pairs`]), and a gather stage builds the output
 //!   columns once ([`join::materialize_pairs`]). Candidate pruning counts
 //!   support straight off the pair stream ([`join::distinct_left_values`])
 //!   without materializing at all;
-//! * [`join::join_glue_partitioned`] — the radix-partitioned parallel hash
-//!   join; byte-identical output at any [`BatchRunner`] width;
-//! * [`plan`] — the adaptive cost-based join planner: sampled cardinality
-//!   statistics, a per-(strategy × build side × partition count) cost
-//!   model, runtime re-planning with mid-join bailout, and a per-shape
-//!   plan cache. Byte-identical output at any plan choice;
+//! * [`join::join_glue_pairs_delta`] — the pair stage restricted to pairs
+//!   touching rows appended since an earlier join (the streaming miner);
 //! * [`join::join_glue_nested`] — the identical operator computed by a
 //!   conventional main-memory nested loop (the paper's `PM−join` ablation);
 //! * [`join::outer_join_glue`] — the **full outer join** of Algorithm 3,
@@ -31,8 +29,7 @@
 //! * [`rowstore`] — the retained row-oriented reference engine, used by
 //!   the differential property suite and the `fig5_join` benchmark;
 //! * [`hash`] — the seed-free multiply-mix hasher backing every internal
-//!   map and set (deterministic, so the parallel join's radix partitioning
-//!   is stable across runs).
+//!   map and set.
 //!
 //! Null semantics follow SQL: a null never equi-matches, and `≠`
 //! constraints involving a null are vacuously satisfied (three-valued
@@ -42,7 +39,6 @@
 pub mod column;
 pub mod hash;
 pub mod join;
-pub mod plan;
 pub mod rowstore;
 pub mod schema;
 pub mod table;
@@ -51,13 +47,7 @@ pub use column::{Column, Value, NULL_IX};
 pub use hash::{EntitySet, FastHasher, FastMap, FastSet};
 pub use join::{
     distinct_left_values, join_glue, join_glue_nested, join_glue_pairs, join_glue_pairs_delta,
-    join_glue_pairs_delta_partitioned, join_glue_pairs_nested, join_glue_pairs_partitioned,
-    join_glue_pairs_sort_merge, join_glue_partitioned, join_glue_sort_merge, materialize_pairs,
-    outer_join_glue, BatchRunner, ColumnGlue, Pair, SerialRunner,
-};
-pub use plan::{
-    choose_plan, join_glue_pairs_planned, join_stats, BuildSide, JoinPlan, JoinStats, PlanOutcome,
-    Planner, PlannerSettings, Strategy,
+    join_glue_pairs_nested, materialize_pairs, outer_join_glue, ColumnGlue, Pair,
 };
 pub use schema::Schema;
 pub use table::Table;

@@ -252,55 +252,6 @@ pub fn join_glue_rows(left: &RowTable, right: &RowTable, glue: &[ColumnGlue]) ->
     out
 }
 
-/// Row-at-a-time sort–merge join (per-group key clone, as in the seed).
-pub fn join_glue_sort_merge_rows(
-    left: &RowTable,
-    right: &RowTable,
-    glue: &[ColumnGlue],
-) -> RowTable {
-    let mut out = RowTable::new(output_schema(left, glue));
-
-    let mut lkeys: Vec<(JoinKey, usize)> = left
-        .rows()
-        .enumerate()
-        .filter_map(|(i, r)| left_key(r, glue).map(|k| (k, i)))
-        .collect();
-    let mut rkeys: Vec<(JoinKey, usize)> = right
-        .rows()
-        .enumerate()
-        .filter_map(|(i, r)| right_key(r, glue).map(|k| (k, i)))
-        .collect();
-    lkeys.sort();
-    rkeys.sort();
-
-    let mut row = Vec::with_capacity(out.width());
-    let (mut li, mut ri) = (0usize, 0usize);
-    while li < lkeys.len() && ri < rkeys.len() {
-        match lkeys[li].0.cmp(&rkeys[ri].0) {
-            std::cmp::Ordering::Less => li += 1,
-            std::cmp::Ordering::Greater => ri += 1,
-            std::cmp::Ordering::Equal => {
-                let key = lkeys[li].0.clone();
-                let lhi = lkeys[li..].partition_point(|(k, _)| *k == key) + li;
-                let rhi = rkeys[ri..].partition_point(|(k, _)| *k == key) + ri;
-                for &(_, l_ix) in &lkeys[li..lhi] {
-                    let l = left.row(l_ix);
-                    for &(_, r_ix) in &rkeys[ri..rhi] {
-                        let r = right.row(r_ix);
-                        if pair_matches(l, r, glue) {
-                            combined_row(l, r, glue, &mut row);
-                            out.push_row(&row);
-                        }
-                    }
-                }
-                li = lhi;
-                ri = rhi;
-            }
-        }
-    }
-    out
-}
-
 /// Row-at-a-time nested-loop join over the cross product.
 pub fn join_glue_nested_rows(left: &RowTable, right: &RowTable, glue: &[ColumnGlue]) -> RowTable {
     let mut out = RowTable::new(output_schema(left, glue));

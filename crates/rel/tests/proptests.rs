@@ -5,13 +5,10 @@
 //! `PM−join` realization computations, which must only differ in speed.
 
 use proptest::prelude::*;
-use wiclean_rel::rowstore::{
-    join_glue_rows, join_glue_sort_merge_rows, outer_join_glue_rows, RowTable,
-};
+use wiclean_rel::rowstore::{join_glue_rows, outer_join_glue_rows, RowTable};
 use wiclean_rel::{
-    distinct_left_values, join_glue, join_glue_nested, join_glue_pairs,
-    join_glue_pairs_partitioned, join_glue_sort_merge, outer_join_glue, ColumnGlue, Schema,
-    SerialRunner, Table, Value,
+    distinct_left_values, join_glue, join_glue_nested, join_glue_pairs, join_glue_pairs_nested,
+    materialize_pairs, outer_join_glue, ColumnGlue, Schema, Table, Value,
 };
 use wiclean_types::EntityId;
 
@@ -50,20 +47,78 @@ fn glue_strategy() -> impl Strategy<Value = Vec<ColumnGlue>> {
     (one, two).prop_map(|(a, b)| vec![a, b])
 }
 
+/// A fixed pool of rows; tests slice a prefix of it to get a table of a
+/// chosen length.
+fn row_pool() -> impl Strategy<Value = Vec<Vec<Value>>> {
+    proptest::collection::vec(proptest::collection::vec(value_strategy(), 2), 13)
+}
+
+/// Left/right row counts in one of four relations: left smaller, right
+/// smaller, equal, or one side empty. The hash join indexes the smaller
+/// side (the right one on a tie), so these cover both build sides.
+fn size_pair_strategy() -> impl Strategy<Value = (usize, usize)> {
+    (0usize..12, 0usize..12, 0u8..4).prop_map(|(a, b, relation)| {
+        let (lo, hi) = (a.min(b), a.max(b) + 1);
+        match relation {
+            0 => (lo, hi),
+            1 => (hi, lo),
+            2 => (a, a),
+            _ if a % 2 == 0 => (0, b),
+            _ => (b, 0),
+        }
+    })
+}
+
+/// Glue specs of key arity 1 (with and without a `≠` constraint on the
+/// new column) and 2, plus the unconstrained random specs.
+fn keyed_glue_strategy() -> impl Strategy<Value = Vec<ColumnGlue>> {
+    let new_col = |distinct_from: Vec<usize>| ColumnGlue::New {
+        name: "n".into(),
+        distinct_from,
+    };
+    prop_oneof![
+        (0usize..2, proptest::collection::vec(0usize..2, 0..3))
+            .prop_map(move |(c, d)| vec![ColumnGlue::Glued(c), new_col(d)]),
+        (0usize..2, proptest::collection::vec(0usize..2, 1..3))
+            .prop_map(move |(c, d)| vec![new_col(d), ColumnGlue::Glued(c)]),
+        (0usize..2, 0usize..2).prop_map(|(a, b)| vec![ColumnGlue::Glued(a), ColumnGlue::Glued(b)]),
+        glue_strategy(),
+    ]
+}
+
+fn table_of(cols: [&str; 2], rows: &[Vec<Value>]) -> Table {
+    Table::from_rows(Schema::new(cols), rows.iter())
+}
+
 proptest! {
-    /// Hash join ≡ nested loop join ≡ sort–merge join, on all inputs and
-    /// glue specs.
+    /// Hash join ≡ nested-loop join ≡ the row-store reference, pair for
+    /// pair and row for row, whichever side the hash join indexes: left
+    /// smaller, right smaller, equal sizes, an empty side; with nulls,
+    /// duplicate keys (values drawn from 0..6), glue arity 1 and 2, and
+    /// `≠` constraints.
     #[test]
-    fn hash_equals_nested_equals_sort_merge(
-        left in table_strategy(&["a", "b"]),
-        right in table_strategy(&["x", "y"]),
-        glue in glue_strategy(),
+    fn hash_equals_nested(
+        lrows in row_pool(),
+        rrows in row_pool(),
+        sizes in size_pair_strategy(),
+        glue in keyed_glue_strategy(),
     ) {
-        let h = join_glue(&left, &right, &glue);
-        let n = join_glue_nested(&left, &right, &glue);
-        let m = join_glue_sort_merge(&left, &right, &glue);
-        prop_assert_eq!(h.sorted_rows(), n.sorted_rows());
-        prop_assert_eq!(h.sorted_rows(), m.sorted_rows());
+        let (ln, rn) = sizes;
+        let left = table_of(["a", "b"], &lrows[..ln]);
+        let right = table_of(["x", "y"], &rrows[..rn]);
+        let pairs = join_glue_pairs(&left, &right, &glue);
+        prop_assert_eq!(&pairs, &join_glue_pairs_nested(&left, &right, &glue));
+
+        let table = materialize_pairs(&left, &right, &glue, &pairs);
+        prop_assert_eq!(&table, &join_glue(&left, &right, &glue));
+        prop_assert_eq!(&table, &join_glue_nested(&left, &right, &glue));
+        let reference = join_glue_rows(
+            &RowTable::from_table(&left),
+            &RowTable::from_table(&right),
+            &glue,
+        );
+        let reference_rows: Vec<Vec<Value>> = reference.rows().map(<[Value]>::to_vec).collect();
+        prop_assert_eq!(table.rows().collect::<Vec<_>>(), reference_rows);
     }
 
     /// The inner join is a sub-multiset of the outer join, and the outer
@@ -170,8 +225,8 @@ fn nullish_table_strategy(cols: &'static [&'static str]) -> impl Strategy<Value 
 }
 
 proptest! {
-    /// Columnar inner joins (hash, sort–merge, partitioned) agree with the
-    /// row-oriented reference under set semantics.
+    /// The columnar inner join agrees with the row-oriented reference
+    /// under set semantics.
     #[test]
     fn columnar_joins_match_row_reference(
         left in table_strategy(&["a", "b"]),
@@ -184,10 +239,6 @@ proptest! {
         let row_hash = join_glue_rows(&rl, &rr, &glue);
         prop_assert_eq!(col_hash.sorted_rows(), row_hash.sorted_rows());
         prop_assert_eq!(col_hash.schema().names(), row_hash.schema().names());
-
-        let col_sm = join_glue_sort_merge(&left, &right, &glue);
-        let row_sm = join_glue_sort_merge_rows(&rl, &rr, &glue);
-        prop_assert_eq!(col_sm.sorted_rows(), row_sm.sorted_rows());
     }
 
     /// The columnar outer join agrees with the row-oriented reference —
@@ -239,19 +290,6 @@ proptest! {
         let col_outer = outer_join_glue(&t, &t, &glue);
         let row_outer = outer_join_glue_rows(&rt, &rt, &glue);
         prop_assert_eq!(col_outer.sorted_rows(), row_outer.sorted_rows());
-    }
-
-    /// The partitioned pair stage is byte-identical to the serial hash
-    /// pair stage (not merely set-equal) on every input.
-    #[test]
-    fn partitioned_pairs_identical_to_hash(
-        left in table_strategy(&["a", "b"]),
-        right in table_strategy(&["x", "y"]),
-        glue in glue_strategy(),
-    ) {
-        let serial = join_glue_pairs(&left, &right, &glue);
-        let part = join_glue_pairs_partitioned(&left, &right, &glue, &SerialRunner);
-        prop_assert_eq!(serial, part);
     }
 
     /// The distinct-source fast path (support counted off the pair stream)

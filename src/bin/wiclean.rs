@@ -61,7 +61,15 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(&args[1..]) {
+    if matches!(command.as_str(), "--help" | "-h" | "help") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let Some(known) = known_flags(command) else {
+        eprintln!("error: unknown command `{command}`\n\n{USAGE}");
+        return ExitCode::FAILURE;
+    };
+    let flags = match parse_flags(&args[1..], known) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -77,11 +85,7 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(&flags).map(|()| ExitCode::SUCCESS),
         "stream" => cmd_stream(&flags).map(|()| ExitCode::SUCCESS),
         "suggest" => cmd_suggest(&flags).map(|()| ExitCode::SUCCESS),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(ExitCode::SUCCESS)
-        }
-        other => Err(format!("unknown command `{other}`")),
+        other => unreachable!("`{other}` has a flag set but no handler"),
     };
     match result {
         Ok(code) => code,
@@ -99,28 +103,17 @@ USAGE:
   wiclean generate --domain <soccer|cinema|politics|software> [--seeds N] [--rng S] --out FILE
   wiclean stats    --corpus FILE
   wiclean ingest   --corpus FILE --store DIR [DURABILITY FLAGS | CORPUS BACKEND FLAGS]
-  wiclean mine     --corpus FILE [--durability DIR] [--threads N] [--extract MODE] [PLANNER FLAGS] [--out FILE] [FAULT FLAGS]
-  wiclean mine     --backend disk --store DIR [--threads N] [--extract MODE] [PLANNER FLAGS] [--out FILE] [CORPUS BACKEND FLAGS]
+  wiclean mine     --corpus FILE [--durability DIR] [--threads N] [--extract MODE] [--out FILE] [FAULT FLAGS]
+  wiclean mine     --backend disk --store DIR [--threads N] [--extract MODE] [--out FILE] [CORPUS BACKEND FLAGS]
   wiclean detect   --corpus FILE [--durability DIR] [--threads N] [--extract MODE] [--top K] [FAULT FLAGS]
   wiclean serve    --corpus FILE [--addr HOST:PORT] [--max-conns N] [--threads N] [SERVE FLAGS]
-  wiclean stream   --corpus FILE [--serve HOST:PORT] [--out FILE] [STREAM FLAGS] [PLANNER FLAGS]
-  wiclean stream   --backend disk --store DIR [--serve HOST:PORT] [--out FILE] [STREAM FLAGS] [PLANNER FLAGS]
+  wiclean stream   --corpus FILE [--serve HOST:PORT] [--out FILE] [STREAM FLAGS]
+  wiclean stream   --backend disk --store DIR [--serve HOST:PORT] [--out FILE] [STREAM FLAGS]
   wiclean suggest  --corpus FILE --entity NAME [--edit add|remove] [--rel NAME] [--threads N]
 
 MODE (extraction pipeline, both produce byte-identical output):
   incremental      prediff-gated interned extraction (default)
   full             frozen full-reparse reference path (ablation)
-
-PLANNER FLAGS (adaptive join planning, `mine` and `stream`; all plan
-choices produce byte-identical mining output):
-  --planner on|off `on` (default): per-join sampled statistics + cost
-                   model pick the pair-stage strategy, build side, and
-                   partition count, with mid-join re-planning and a
-                   per-shape plan cache; `off`: the fixed heuristics
-                   (hash build-right, hard-coded parallel gate)
-  --replan-factor F
-                   re-plan a join when its observed output exceeds the
-                   estimate by this factor (> 1.0; default 4.0)
 
 DURABILITY FLAGS (crash-safe revision store; see also --durability):
   --sync MODE      WAL fsync policy: `always`, `every:N`, or `never`
@@ -181,16 +174,112 @@ FAULT FLAGS (crawl-robustness testing):
   --retries N      retries per page after the first attempt (0 disables;
                    default: the built-in retry/backoff policy)
 
+A flag the command does not read is an error.
+
 Exit codes: 0 success, 1 error, 3 crawl circuit breaker tripped (results
 written, but coverage is untrustworthy).";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The flags each command reads (over both corpus backends), or `None`
+/// for an unknown command.
+fn known_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "generate" => &["domain", "seeds", "rng", "out"],
+        "stats" => &["corpus"],
+        "ingest" => &[
+            "corpus",
+            "store",
+            "backend",
+            "threads",
+            "sync",
+            "checkpoint-every",
+            "shards",
+            "snapshot-every",
+            "memory-budget",
+        ],
+        "mine" => &[
+            "corpus",
+            "store",
+            "backend",
+            "durability",
+            "threads",
+            "extract",
+            "out",
+            "fault-rate",
+            "fault-seed",
+            "retries",
+            "sync",
+            "checkpoint-every",
+            "shards",
+            "snapshot-every",
+            "memory-budget",
+        ],
+        "detect" => &[
+            "corpus",
+            "durability",
+            "threads",
+            "extract",
+            "top",
+            "fault-rate",
+            "fault-seed",
+            "retries",
+            "sync",
+            "checkpoint-every",
+        ],
+        "serve" => &[
+            "corpus",
+            "addr",
+            "max-conns",
+            "threads",
+            "extract",
+            "max-patterns",
+            "max-entities",
+            "debug-ops",
+        ],
+        "stream" => &[
+            "corpus",
+            "store",
+            "backend",
+            "serve",
+            "out",
+            "threads",
+            "extract",
+            "grace",
+            "refresh-revisions",
+            "shuffle-seed",
+            "width",
+            "max-conns",
+            "max-patterns",
+            "max-entities",
+            "sync",
+            "shards",
+            "snapshot-every",
+            "memory-budget",
+        ],
+        "suggest" => &[
+            "corpus",
+            "entity",
+            "edit",
+            "rel",
+            "threads",
+            "extract",
+            "max-patterns",
+            "max-entities",
+        ],
+        _ => return None,
+    })
+}
+
+/// Parses `--name value` pairs, rejecting any name not in `known`.
+fn parse_flags(args: &[String], known: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(key) = it.next() {
         let Some(name) = key.strip_prefix("--") else {
             return Err(format!("expected a --flag, got `{key}`"));
         };
+        if !known.contains(&name) {
+            return Err(format!("unknown flag --{name}"));
+        }
         let Some(value) = it.next() else {
             return Err(format!("flag --{name} needs a value"));
         };
@@ -247,31 +336,6 @@ fn apply_extract_mode(
             "flag --extract: `{other}` is not `incremental` or `full`"
         )),
     }
-}
-
-/// Applies the `--planner` / `--replan-factor` flags to a mining config.
-/// Both produce byte-identical mining output; the planner only changes
-/// how fast the pair stage runs.
-fn apply_planner_flags(
-    wc: &mut wiclean::core::config::WcConfig,
-    flags: &HashMap<String, String>,
-) -> Result<(), String> {
-    match flags.get("planner").map(String::as_str) {
-        None | Some("on") => {}
-        Some("off") => wc.use_adaptive_planner = false,
-        Some(other) => return Err(format!("flag --planner: `{other}` is not on|off")),
-    }
-    if let Some(v) = flags.get("replan-factor") {
-        let factor: f64 = v
-            .parse()
-            .map_err(|_| format!("flag --replan-factor: cannot parse `{v}`"))?;
-        wc.miner.planner.replan_factor = factor;
-        wc.miner
-            .planner
-            .validate()
-            .map_err(|e| format!("flag --replan-factor: {e}"))?;
-    }
-    Ok(())
 }
 
 fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -585,7 +649,6 @@ fn cmd_mine(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     }
     let mut wc = default_wc_config(threads(flags)?);
     apply_extract_mode(&mut wc, flags)?;
-    apply_planner_flags(&mut wc, flags)?;
     let (plan, policy) = fault_setup(flags)?;
     let corpus = load_corpus(flags)?;
     eprintln!("mining `{}` (Algorithm 2)…", corpus.seed_type);
@@ -644,7 +707,6 @@ fn cmd_mine_disk(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     }
     let mut wc = default_wc_config(threads(flags)?);
     apply_extract_mode(&mut wc, flags)?;
-    apply_planner_flags(&mut wc, flags)?;
     let dir = flag(flags, "store")?;
     let header = CorpusHeader::load(Path::new(dir).join(HEADER_FILE))
         .map_err(|e| format!("sharded store {dir}: {e}"))?;
@@ -850,7 +912,6 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
 
     let mut wc = default_wc_config(threads(flags)?);
     apply_extract_mode(&mut wc, flags)?;
-    apply_planner_flags(&mut wc, flags)?;
     let corpus = load_stream_corpus(flags)?;
     wc.stream.grace = num_flag(flags, "grace", wc.stream.grace)?;
     wc.stream.refresh_revisions =

@@ -199,10 +199,12 @@ fn serve_and_suggest_round_trip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Flags a command does not read fail loudly, naming the flag, instead of
+/// being ignored: a typo'd `--fault-rat` must not run a fault-free mine,
+/// and the retired `--planner` / `--replan-factor` knobs are gone.
 #[test]
-#[cfg_attr(debug_assertions, ignore = "full pipeline — run with --release")]
-fn planner_flags_round_trip() {
-    let dir = std::env::temp_dir().join("wiclean_cli_planner_test");
+fn unknown_flags_fail_with_their_name() {
+    let dir = std::env::temp_dir().join("wiclean_cli_unknown_flag_test");
     std::fs::create_dir_all(&dir).unwrap();
     let corpus = dir.join("corpus.json");
     let out = wiclean()
@@ -211,7 +213,7 @@ fn planner_flags_round_trip() {
             "--domain",
             "soccer",
             "--seeds",
-            "40",
+            "20",
             "--rng",
             "13",
             "--out",
@@ -224,88 +226,29 @@ fn planner_flags_round_trip() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-
-    // mine with the planner on (explicitly, plus a custom re-plan factor)
-    // and off: the mined sections must be byte-identical — the planner
-    // only changes how fast the pair stage runs — while the planner
-    // counters separate the two runs.
-    let mine = |planner: &str, factor: Option<&str>, report: &std::path::Path| {
-        let mut args = vec![
-            "mine".to_string(),
-            "--corpus".to_string(),
-            corpus.to_str().unwrap().to_string(),
-            "--threads".to_string(),
-            "2".to_string(),
-            "--planner".to_string(),
-            planner.to_string(),
-            "--out".to_string(),
-            report.to_str().unwrap().to_string(),
-        ];
-        if let Some(f) = factor {
-            args.push("--replan-factor".to_string());
-            args.push(f.to_string());
-        }
-        let out = wiclean().args(&args).output().unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        serde_json::from_str::<serde_json::Value>(&std::fs::read_to_string(report).unwrap())
-            .unwrap()
-    };
-    let on = mine("on", Some("2.5"), &dir.join("on.json"));
-    let off = mine("off", None, &dir.join("off.json"));
-    assert_eq!(
-        on["patterns"], off["patterns"],
-        "plan choice changed output"
-    );
-    assert_eq!(on["iterations"], off["iterations"]);
-    let picks = |r: &serde_json::Value| {
-        ["hash", "sort_merge", "nested", "partitioned"]
-            .iter()
-            .map(|s| {
-                r["stats"][format!("plan_picks_{s}").as_str()]
-                    .as_u64()
-                    .unwrap()
-            })
-            .sum::<u64>()
-    };
-    assert!(picks(&on) > 0, "planner-on run must record plan picks");
-    assert_eq!(picks(&off), 0, "planner-off run must not plan");
-
-    // The same flags round-trip through `stream`.
-    let stream = |planner: &str, report: &std::path::Path| {
+    let corpus = corpus.to_str().unwrap();
+    for (command, name, value) in [
+        ("mine", "planner", "off"),
+        ("mine", "fault-rat", "0.1"),
+        ("mine", "replan-factor", "2.5"),
+        ("stream", "planner", "off"),
+        ("detect", "memory-budget", "4"),
+        ("stats", "threads", "2"),
+    ] {
         let out = wiclean()
-            .args([
-                "stream",
-                "--corpus",
-                corpus.to_str().unwrap(),
-                "--threads",
-                "2",
-                "--planner",
-                planner,
-                "--replan-factor",
-                "3.5",
-                "--out",
-                report.to_str().unwrap(),
-            ])
+            .args([command, "--corpus", corpus, &format!("--{name}"), value])
             .output()
             .unwrap();
         assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
+            !out.status.success(),
+            "`{command} --{name}` must fail, not be ignored"
         );
-        serde_json::from_str::<serde_json::Value>(&std::fs::read_to_string(report).unwrap())
-            .unwrap()
-    };
-    let s_on = stream("on", &dir.join("stream_on.json"));
-    let s_off = stream("off", &dir.join("stream_off.json"));
-    assert_eq!(
-        s_on["patterns"], s_off["patterns"],
-        "plan choice changed streamed output"
-    );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag --{name}")),
+            "`{command} --{name}`: {stderr}"
+        );
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -337,19 +280,24 @@ fn bad_invocations_fail_cleanly() {
         .unwrap();
     assert!(!out.status.success(), "missing corpus must fail");
 
-    let out = wiclean()
-        .args(["mine", "--corpus", "/tmp/x.json", "--planner", "sideways"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success(), "bad --planner value must fail");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--planner"));
-
-    let out = wiclean()
-        .args(["mine", "--corpus", "/tmp/x.json", "--replan-factor", "1.0"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success(), "--replan-factor <= 1.0 must fail");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("replan"));
+    for (name, value) in [("planner", "sideways"), ("replan-factor", "1.0")] {
+        let out = wiclean()
+            .args([
+                "mine",
+                "--corpus",
+                "/tmp/x.json",
+                &format!("--{name}"),
+                value,
+            ])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "retired --{name} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag --{name}")),
+            "{stderr}"
+        );
+    }
 
     let out = wiclean().args(["--help"]).output().unwrap();
     assert!(out.status.success());
