@@ -8,12 +8,17 @@
 //!   with fully materialized row joins;
 //! * **col-hash / col-nested** — the columnar engine with eager
 //!   materialization (table-level wrappers);
+//! * **col-hash-prebuilt** — col-hash against a [`KeyIndex`] over the
+//!   right side built once, outside the timed loop, the way the miner
+//!   probes one index per action relation from many candidates. The
+//!   index build is timed on its own (`prebuilt_index_build_ms`);
 //! * **col-late** — the columnar late-materialized pipeline: pair stage,
 //!   support counted off the pair stream, one gather, dedup;
 //! * **col-prune** — the distinct-source fast path alone (what the miner
 //!   pays for a candidate that fails the threshold: no gather at all).
 //!
-//! Every strategy's (rows, support) digest is asserted equal, and a small
+//! Every strategy's (rows, support) digest is asserted equal, the
+//! prebuilt-index pair stream is asserted equal to col-hash's, and a small
 //! cross-engine equivalence workload additionally checks sorted-row
 //! equality including the nested-loop reference. A final section mines the
 //! soccer transfer window and reports how many candidate tables the fast
@@ -27,7 +32,7 @@ use wiclean_core::WindowMiner;
 use wiclean_rel::rowstore::{join_glue_rows, RowTable};
 use wiclean_rel::{
     distinct_left_values, join_glue, join_glue_nested, join_glue_pairs, join_glue_pairs_nested,
-    materialize_pairs, ColumnGlue, Schema, Table,
+    join_glue_pairs_prebuilt, materialize_pairs, ColumnGlue, KeyIndex, Schema, Table,
 };
 use wiclean_types::EntityId;
 
@@ -60,6 +65,9 @@ struct Report {
     output_rows: usize,
     support: usize,
     strategies: Vec<Strategy>,
+    /// Median wall-clock of building col-hash-prebuilt's right index,
+    /// which its own timing leaves out.
+    prebuilt_index_build_ms: f64,
     fast_path: FastPath,
     outputs_equivalent: bool,
     /// The headline number: row-hash wall-clock over col-hash wall-clock.
@@ -117,6 +125,9 @@ fn right_table(rows: usize, keys: u32, rng: &mut u64) -> Table {
     }
     t
 }
+
+/// The right columns [`glue`] equi-joins on: the prebuilt index's key.
+const GLUED_RIGHT_COLS: [usize; 1] = [0];
 
 /// The miner's extension glue: the action's source glues onto the left
 /// club column; its target is a fresh variable kept distinct from the
@@ -189,10 +200,17 @@ fn assert_equivalence() {
             "{name} diverges from row reference"
         );
     }
+    let pairs = join_glue_pairs(&left, &right, &g);
     assert_eq!(
-        join_glue_pairs(&left, &right, &g),
+        pairs,
         join_glue_pairs_nested(&left, &right, &g),
         "hash and nested-loop pair streams must be byte-identical"
+    );
+    let index = KeyIndex::new(&right, &GLUED_RIGHT_COLS);
+    assert_eq!(
+        pairs,
+        join_glue_pairs_prebuilt(&left, &right, &index, &g),
+        "hash and prebuilt-index pair streams must be byte-identical"
     );
 }
 
@@ -221,6 +239,21 @@ fn main() {
         pairs.len()
     );
 
+    // col-hash-prebuilt's index, built (and timed) outside its timed loop.
+    let mut index = KeyIndex::new(&right, &GLUED_RIGHT_COLS);
+    let mut build_times = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        index = KeyIndex::new(&right, &GLUED_RIGHT_COLS);
+        build_times.push(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    let prebuilt_index_build_ms = median_ms(build_times);
+    assert_eq!(
+        join_glue_pairs_prebuilt(&left, &right, &index, &g),
+        pairs,
+        "col-hash-prebuilt's pair stream must equal col-hash's"
+    );
+
     let mut equivalent = true;
     let mut strategies: Vec<Strategy> = Vec::new();
     let mut baseline = (0.0, (0, 0));
@@ -233,6 +266,13 @@ fn main() {
         (
             "col-hash",
             Box::new(|| finish(join_glue(&left, &right, &g))),
+        ),
+        (
+            "col-hash-prebuilt",
+            Box::new(|| {
+                let pairs = join_glue_pairs_prebuilt(&left, &right, &index, &g);
+                finish(materialize_pairs(&left, &right, &g, &pairs))
+            }),
         ),
         (
             "col-nested",
@@ -265,7 +305,7 @@ fn main() {
         }
         let speedup = baseline.0 / wall_ms;
         println!(
-            "{name:>16}  {wall_ms:>9.2} ms  {speedup:>5.2}x  rows={} support={}",
+            "{name:>17}  {wall_ms:>9.2} ms  {speedup:>5.2}x  rows={} support={}",
             digest.0, digest.1
         );
         strategies.push(Strategy {
@@ -289,7 +329,7 @@ fn main() {
         }
         let speedup = baseline.0 / wall_ms;
         println!(
-            "{:>16}  {wall_ms:>9.2} ms  {speedup:>5.2}x  (no materialization)",
+            "{:>17}  {wall_ms:>9.2} ms  {speedup:>5.2}x  (no materialization)",
             "col-prune"
         );
         strategies.push(Strategy {
@@ -318,6 +358,7 @@ fn main() {
     let col_hash = strategies.iter().find(|s| s.name == "col-hash").unwrap();
     let columnar_speedup_vs_row = col_hash.speedup_vs_row_hash;
     println!("columnar hash vs row-oriented seed: {columnar_speedup_vs_row:.2}x");
+    println!("col-hash-prebuilt index build: {prebuilt_index_build_ms:.2} ms (untimed above)");
 
     let (output_rows, support) = baseline.1;
     let report = Report {
@@ -329,6 +370,7 @@ fn main() {
         output_rows,
         support,
         strategies,
+        prebuilt_index_build_ms,
         fast_path: FastPath {
             rows_probed: s.rows_probed,
             pairs_matched: s.pairs_matched,

@@ -22,7 +22,7 @@
 
 use crate::abstract_action::AbstractAction;
 use crate::cache::RealizationCache;
-use crate::config::{ExpansionMode, MinerConfig};
+use crate::config::{ExpansionMode, JoinImpl, MinerConfig};
 use crate::degraded::DegradedCoverage;
 use crate::interner::{PatternId, PatternInterner};
 use crate::pattern::{Pattern, WorkingPattern};
@@ -34,9 +34,12 @@ use crate::realization::{
 use crate::var::Var;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-use wiclean_rel::{distinct_left_values, materialize_pairs, outer_join_glue, ColumnGlue, Table};
+use wiclean_rel::{
+    distinct_left_values, join_glue_pairs_nested, join_glue_pairs_prebuilt, materialize_pairs,
+    outer_join_glue, ColumnGlue, KeyIndex, Table,
+};
 use wiclean_revstore::{
     reduce_actions, try_extract_actions_with, ActionCache, CacheLookup, ExtractMode,
     ExtractOutcome, FetchError, FetchSource,
@@ -396,6 +399,69 @@ enum EvalOutcome {
 /// cache answered (None when no cache is attached).
 pub(crate) type Extracted = Result<(Arc<ExtractOutcome>, Option<CacheLookup>), FetchError>;
 
+/// One shape's action relation and its join indexes, shared by every
+/// candidate of one expansion that glues an action of this shape.
+struct ShapeSlot {
+    /// The action relation. Its rows depend only on the shape, because
+    /// candidate actions never self-loop.
+    right: Table,
+    /// Index on column 0, probed by candidates whose target is fresh.
+    on_source: OnceLock<KeyIndex>,
+    /// Index on columns (0, 1), probed by candidates whose target is glued.
+    on_pair: OnceLock<KeyIndex>,
+}
+
+/// The right-hand side of every candidate join in one expansion: one
+/// lazily filled [`ShapeSlot`] per shape, shared by the pool threads. The
+/// expansion's row store is frozen while it runs, so each slot is built at
+/// most once and dropped when the expansion returns.
+struct ShapeSlots<'r> {
+    rows: &'r HashMap<Shape, Vec<(EntityId, EntityId)>>,
+    slots: HashMap<Shape, OnceLock<ShapeSlot>>,
+}
+
+impl<'r> ShapeSlots<'r> {
+    fn new(rows: &'r HashMap<Shape, Vec<(EntityId, EntityId)>>) -> Self {
+        let slots = rows.keys().map(|&shape| (shape, OnceLock::new())).collect();
+        Self { rows, slots }
+    }
+
+    /// The action relation a candidate gluing `action` joins against, and
+    /// the index on the right columns its glue equi-joins: column 0 for a
+    /// fresh target, columns (0, 1) for a glued one.
+    fn probe(
+        &self,
+        action: &AbstractAction,
+        target_is_new: bool,
+        universe: &Universe,
+    ) -> (&Table, &KeyIndex) {
+        debug_assert_ne!(
+            action.source, action.target,
+            "candidate actions never self-loop"
+        );
+        let shape = action.shape();
+        let slot = self.slots[&shape].get_or_init(|| {
+            // Column names are the canonical ones of the shape; the joins
+            // read the right side by position only.
+            let (op, s, r, t) = shape;
+            let canonical = AbstractAction::new(op, Var::new(s, 0), r, Var::new(t, 1));
+            ShapeSlot {
+                right: action_realizations(&canonical, &self.rows[&shape], universe),
+                on_source: OnceLock::new(),
+                on_pair: OnceLock::new(),
+            }
+        });
+        let index = if target_is_new {
+            slot.on_source
+                .get_or_init(|| KeyIndex::new(&slot.right, &[0]))
+        } else {
+            slot.on_pair
+                .get_or_init(|| KeyIndex::new(&slot.right, &[0, 1]))
+        };
+        (&slot.right, index)
+    }
+}
+
 /// Mutable mining state for one window.
 struct MineState {
     /// Concrete reduced pairs per abstraction shape (already lifted to all
@@ -700,15 +766,10 @@ impl<'a> WindowMiner<'a> {
             if new_types.is_empty() {
                 break;
             }
-            let t_mine = t0.elapsed();
             for ty in new_types {
                 state.fetched_types.insert(ty);
                 self.load_entities(&mut state, self.universe.entities_of(ty), window, pool);
             }
-            // `load_entities` accrues into preprocess; keep mine timing by
-            // subtracting later — simplest is to track mine as total minus
-            // preprocess at the end.
-            let _ = t_mine;
         }
 
         // Line 16: select the most specific frequent patterns.
@@ -823,6 +884,10 @@ impl<'a> WindowMiner<'a> {
     /// results serially in spec order, appending accepted nodes sorted by
     /// canonical pattern value. Output is byte-identical at any thread
     /// count because the pool only decides *where* a spec is evaluated.
+    ///
+    /// `rows` is frozen for the whole call, so each shape's action relation
+    /// and join index are built once, on first use, and probed by every
+    /// candidate of every generation ([`ShapeSlots`]).
     #[allow(clippy::too_many_arguments)]
     fn expand_generations(
         &self,
@@ -839,6 +904,7 @@ impl<'a> WindowMiner<'a> {
     ) {
         let mut shapes: Vec<Shape> = rows.keys().copied().collect();
         shapes.sort();
+        let slots = ShapeSlots::new(rows);
         let mut frontier = 0..nodes.len();
         while !frontier.is_empty() {
             let specs = self.collect_specs(&shapes, nodes, frontier.clone(), tested);
@@ -852,14 +918,14 @@ impl<'a> WindowMiner<'a> {
                 match pool {
                     Some(pool) if specs.len() > 1 && pool.width() > 1 => pool.map(&specs, |spec| {
                         self.evaluate_candidate(
-                            rows, frozen, known, seed, cache_ctx, spec, score, threshold,
+                            &slots, frozen, known, seed, cache_ctx, spec, score, threshold,
                         )
                     }),
                     _ => specs
                         .iter()
                         .map(|spec| {
                             self.evaluate_candidate(
-                                rows, frozen, known, seed, cache_ctx, spec, score, threshold,
+                                &slots, frozen, known, seed, cache_ctx, spec, score, threshold,
                             )
                         })
                         .collect(),
@@ -945,7 +1011,7 @@ impl<'a> WindowMiner<'a> {
     #[allow(clippy::too_many_arguments)]
     fn evaluate_candidate(
         &self,
-        rows_map: &HashMap<Shape, Vec<(EntityId, EntityId)>>,
+        slots: &ShapeSlots,
         nodes: &[Node],
         found: &HashSet<PatternId>,
         seed: TypeId,
@@ -993,16 +1059,26 @@ impl<'a> WindowMiner<'a> {
             }
         }
 
-        // Build the right-hand (action) relation.
-        let shape = spec.action.shape();
-        let rows = &rows_map[&shape];
-        let right = action_realizations(&spec.action, rows, self.universe);
-
         let glue = candidate_glue(self.universe, &parent.wp, &spec.action, spec.target_is_new);
 
         // Pair stage: matching (left, right) row indices, no output rows
-        // built yet.
-        let pairs = self.config.join_impl.pairs(&parent.table, &right, &glue);
+        // built yet. The hash join probes the expansion's shared index on
+        // the action relation; the nested loop (`PM−join`) builds its own
+        // right relation per candidate, as the paper's baseline does.
+        let nested_right;
+        let (right, pairs) = match self.config.join_impl {
+            JoinImpl::Hash => {
+                let (right, index) = slots.probe(&spec.action, spec.target_is_new, self.universe);
+                let pairs = join_glue_pairs_prebuilt(&parent.table, right, index, &glue);
+                (right, pairs)
+            }
+            JoinImpl::NestedLoop => {
+                let rows = &slots.rows[&spec.action.shape()];
+                nested_right = action_realizations(&spec.action, rows, self.universe);
+                let pairs = join_glue_pairs_nested(&parent.table, &nested_right, &glue);
+                (&nested_right, pairs)
+            }
+        };
 
         // Distinct-source fast path: the pattern's source variable is the
         // left table's column 0, and a join (deduped or not) cannot change
@@ -1017,7 +1093,7 @@ impl<'a> WindowMiner<'a> {
         let accepted = accept(support, freq);
         // Only surviving candidates pay for gather + dedup.
         let table = accepted.then(|| {
-            let mut t = materialize_pairs(&parent.table, &right, &glue, &pairs);
+            let mut t = materialize_pairs(&parent.table, right, &glue, &pairs);
             t.dedup();
             t
         });
@@ -1139,15 +1215,6 @@ impl<'a> WindowMiner<'a> {
         let mut tested: HashSet<(PatternId, Shape)> = HashSet::new();
 
         let parent_support = parent.support;
-        if std::env::var_os("WICLEAN_TRACE").is_some() {
-            eprintln!(
-                "[rel] parent support={} len={} shapes={} tau_rel={}",
-                parent_support,
-                parent.working.len(),
-                rows.len(),
-                self.config.tau_rel
-            );
-        }
 
         self.expand_generations(
             rows,
@@ -1170,15 +1237,6 @@ impl<'a> WindowMiner<'a> {
         let keep: HashSet<Pattern> = crate::pattern::most_specific(&pats, self.universe.taxonomy())
             .into_iter()
             .collect();
-
-        if std::env::var_os("WICLEAN_TRACE").is_some() {
-            eprintln!(
-                "[rel] raw rel nodes: {} (candidates {}, joins {})",
-                pats.len(),
-                stats.candidates_considered,
-                stats.joins_executed
-            );
-        }
         let rels = rel_nodes
             .into_iter()
             .filter(|n| keep.contains(&n.canonical))

@@ -77,36 +77,6 @@ impl WcResult {
     }
 }
 
-/// Trace helper: renders the most specific patterns discovered this
-/// iteration (only used when `WICLEAN_TRACE` is set).
-fn last_trace_buffer(
-    results: &[WindowResult],
-    discovered: &HashMap<Pattern, DiscoveredPattern>,
-) -> Vec<String> {
-    let mut out = Vec::new();
-    for r in results {
-        for p in r.most_specific() {
-            if discovered
-                .get(&p.pattern)
-                .is_some_and(|d| d.window == r.window)
-            {
-                out.push(format!(
-                    "f={:.3} win={} len={} pattern#{:?}",
-                    p.frequency,
-                    r.window,
-                    p.pattern.len(),
-                    p.pattern
-                        .actions()
-                        .iter()
-                        .map(|a| (a.op.sigil(), a.rel))
-                        .collect::<Vec<_>>()
-                ));
-            }
-        }
-    }
-    out
-}
-
 /// Algorithm 2: mines windows of increasing width / decreasing threshold
 /// until the discovered pattern set stabilizes.
 pub fn find_windows_and_patterns(
@@ -165,7 +135,6 @@ pub fn find_windows_and_patterns(
         }
 
         let mut new_found = 0usize;
-        let trace = std::env::var_os("WICLEAN_TRACE").is_some();
         for r in &results {
             stats.absorb(&r.stats);
             degraded.absorb(&r.degraded);
@@ -186,15 +155,6 @@ pub fn find_windows_and_patterns(
                         },
                     );
                 }
-            }
-        }
-        if trace {
-            eprintln!(
-                "[wc] iter {iterations}: width {}d tau {tau:.3} → {new_found} new",
-                width / 86_400
-            );
-            for r in &last_trace_buffer(&results, &discovered) {
-                eprintln!("[wc]   {r}");
             }
         }
         last_results = results;

@@ -210,27 +210,6 @@ pub fn score(
                 continue;
             };
             let class = classify_flag(world, tix, seed, &window);
-            if class == FlagClass::Unknown && std::env::var_os("WICLEAN_TRACE").is_some() {
-                let events: Vec<String> = world
-                    .truth
-                    .events
-                    .iter()
-                    .filter(|e| e.seed == seed)
-                    .map(|e| {
-                        format!(
-                            "t{} @d{} complete={}",
-                            e.template_ix,
-                            e.time / 86_400,
-                            e.is_complete()
-                        )
-                    })
-                    .collect();
-                eprintln!(
-                    "[flag?] template {tix} window {window} seed {} → {}; events: {events:?}",
-                    world.universe.entity_name(seed),
-                    p.display(&world.universe),
-                );
-            }
             flags.entry((tix, seed)).or_insert(class);
         }
     }

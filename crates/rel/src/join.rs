@@ -12,7 +12,8 @@
 //!   variables to realize as distinct entities).
 //!
 //! Every join runs in two stages. The *pair* stage ([`join_glue_pairs`],
-//! [`join_glue_pairs_nested`], [`join_glue_pairs_delta`]) produces the
+//! [`join_glue_pairs_prebuilt`], [`join_glue_pairs_nested`],
+//! [`join_glue_pairs_delta`]) produces the
 //! stream of matching `(left row, right row)` index pairs with the
 //! `≠`-post-filter applied on column slices; the *materialize* stage
 //! ([`materialize_pairs`]) gathers the output columns once at the end.
@@ -22,7 +23,8 @@
 //!
 //! Every pair stage emits the same canonical order — ascending
 //! (left row, right row) — so the hash join, the nested loop and the delta
-//! join are interchangeable byte for byte. The table-in/table-out operators
+//! join are interchangeable byte for byte. Every hash stage indexes its
+//! build side with the one flat [`KeyIndex`]. The table-in/table-out operators
 //! ([`join_glue`], [`join_glue_nested`], [`outer_join_glue`]) are thin
 //! compositions of the two stages and keep the exact output row order of
 //! the row-oriented reference implementation (retained in
@@ -149,6 +151,17 @@ impl GluePlan {
         self.neq_ok(left, li, right, ri)
     }
 
+    /// The right columns the glue equi-joins on, in glue order: the key
+    /// columns of an index over the right side.
+    fn right_cols(&self) -> Vec<usize> {
+        self.glued.iter().map(|&(_, rc)| rc).collect()
+    }
+
+    /// The left columns the glue equi-joins on, in glue order.
+    fn left_cols(&self) -> Vec<usize> {
+        self.glued.iter().map(|&(lc, _)| lc).collect()
+    }
+
     /// Probes left rows `rows`, in row order, against an index over right
     /// rows. Pairs come out in canonical order.
     fn probe_left(
@@ -156,7 +169,7 @@ impl GluePlan {
         left: &Table,
         rows: Range<usize>,
         right: &Table,
-        index: &FastMap<JoinKey, Vec<u32>>,
+        index: &KeyIndex,
     ) -> Vec<Pair> {
         let mut pairs = Vec::new();
         if index.is_empty() {
@@ -178,12 +191,7 @@ impl GluePlan {
     /// Probes every right row against an index over left rows. Pairs come
     /// out right-major; buckets are ascending and pairs distinct, so one
     /// `sort_unstable` restores canonical order.
-    fn probe_right_sorted(
-        &self,
-        left: &Table,
-        right: &Table,
-        index: &FastMap<JoinKey, Vec<u32>>,
-    ) -> Vec<Pair> {
+    fn probe_right_sorted(&self, left: &Table, right: &Table, index: &KeyIndex) -> Vec<Pair> {
         let mut pairs = Vec::new();
         if index.is_empty() {
             return pairs;
@@ -203,19 +211,96 @@ impl GluePlan {
     }
 }
 
-/// Hash index over rows `rows` keyed by `key`; null keys are left out.
-/// Each bucket lists its rows in ascending order.
-fn index_rows(
-    rows: Range<usize>,
-    key: impl Fn(usize) -> Option<JoinKey>,
-) -> FastMap<JoinKey, Vec<u32>> {
-    let mut index: FastMap<JoinKey, Vec<u32>> = FastMap::default();
-    for i in rows {
-        if let Some(k) = key(i) {
-            index.entry(k).or_default().push(i as u32);
+/// A hash index over a row range of a table, keyed by some of its columns,
+/// in a flat CSR layout: each key maps to an (offset, len) slice of one
+/// shared row array, so no key owns a `Vec` of its own. Each bucket lists
+/// its rows in ascending order. Rows with a null key column are left out,
+/// since a null never equi-matches.
+///
+/// Every hash pair stage builds one over the side it indexes. The miner
+/// builds one per action relation and probes it from many candidate joins
+/// through [`join_glue_pairs_prebuilt`].
+#[derive(Debug, Clone)]
+pub struct KeyIndex {
+    /// The indexed columns, in key order.
+    key_cols: Vec<usize>,
+    /// The indexed row range.
+    span: Range<usize>,
+    /// Key → (offset, len) into `row_ids`.
+    buckets: FastMap<JoinKey, (u32, u32)>,
+    /// Indexed row ids grouped by key, ascending within each key.
+    row_ids: Vec<u32>,
+}
+
+impl KeyIndex {
+    /// Indexes every row of `table` by the columns `key_cols`, in order.
+    pub fn new(table: &Table, key_cols: &[usize]) -> Self {
+        Self::build(table, key_cols, 0..table.len())
+    }
+
+    /// Indexes rows `span` of `table` by the columns `key_cols`, in order.
+    fn build(table: &Table, key_cols: &[usize], span: Range<usize>) -> Self {
+        const NO_KEY: u32 = u32::MAX;
+        let mut buckets: FastMap<JoinKey, (u32, u32)> = FastMap::default();
+        // Pass 1: number the keys in first-seen order, and record each
+        // row's key number and each key's row count.
+        let mut key_of_row: Vec<u32> = Vec::with_capacity(span.len());
+        let mut counts: Vec<u32> = Vec::new();
+        for i in span.clone() {
+            let id = match pack_key(key_cols.iter().map(|&c| table.col(c).get(i))) {
+                None => NO_KEY,
+                Some(k) => {
+                    let fresh = counts.len() as u32;
+                    let id = buckets.entry(k).or_insert((fresh, 0)).0;
+                    if id == fresh {
+                        counts.push(0);
+                    }
+                    counts[id as usize] += 1;
+                    id
+                }
+            };
+            key_of_row.push(id);
+        }
+        // Each key's offset is the sum of the counts before it.
+        let mut cursor: Vec<u32> = Vec::with_capacity(counts.len());
+        let mut total = 0u32;
+        for &n in &counts {
+            cursor.push(total);
+            total += n;
+        }
+        for bucket in buckets.values_mut() {
+            let id = bucket.0 as usize;
+            *bucket = (cursor[id], counts[id]);
+        }
+        // Pass 2: scatter the rows in ascending order, so every bucket
+        // comes out ascending.
+        let mut row_ids = vec![0u32; total as usize];
+        for (i, id) in span.clone().zip(key_of_row) {
+            if id != NO_KEY {
+                let at = &mut cursor[id as usize];
+                row_ids[*at as usize] = i as u32;
+                *at += 1;
+            }
+        }
+        Self {
+            key_cols: key_cols.to_vec(),
+            span,
+            buckets,
+            row_ids,
         }
     }
-    index
+
+    /// Whether no indexed row has a non-null key.
+    fn is_empty(&self) -> bool {
+        self.row_ids.is_empty()
+    }
+
+    /// The rows keyed `key`, ascending; `None` when there are none.
+    fn get(&self, key: &JoinKey) -> Option<&[u32]> {
+        self.buckets
+            .get(key)
+            .map(|&(at, n)| &self.row_ids[at as usize..(at + n) as usize])
+    }
 }
 
 /// A row's glued-key columns, packed.
@@ -271,12 +356,42 @@ pub fn join_glue_pairs(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Vec<
     validate(left, right, glue);
     let plan = GluePlan::new(glue);
     if left.len() < right.len() {
-        let index = index_rows(0..left.len(), |li| plan.left_key(left, li));
+        let index = KeyIndex::new(left, &plan.left_cols());
         plan.probe_right_sorted(left, right, &index)
     } else {
-        let index = index_rows(0..right.len(), |ri| plan.right_key(right, ri));
+        let index = KeyIndex::new(right, &plan.right_cols());
         plan.probe_left(left, 0..left.len(), right, &index)
     }
+}
+
+/// Hash equijoin pair stage against a prebuilt index over all of `right`:
+/// probes the left rows in row order, so pairs come out in canonical
+/// (left row, right row) order with no sort. Callers that join many left
+/// tables against one right table build its [`KeyIndex`] once and pay
+/// only the probes per join.
+///
+/// `index` must cover every row of `right` and be keyed by the right
+/// columns that `glue` glues, in glue order (both checked). The output
+/// equals [`join_glue_pairs`] pair for pair.
+pub fn join_glue_pairs_prebuilt(
+    left: &Table,
+    right: &Table,
+    index: &KeyIndex,
+    glue: &[ColumnGlue],
+) -> Vec<Pair> {
+    validate(left, right, glue);
+    let plan = GluePlan::new(glue);
+    assert_eq!(
+        index.span,
+        0..right.len(),
+        "index must cover every right row"
+    );
+    assert_eq!(
+        index.key_cols,
+        plan.right_cols(),
+        "index must be keyed by the glued right columns"
+    );
+    plan.probe_left(left, 0..left.len(), right, index)
 }
 
 /// Nested-loop pair stage over the cross product — the paper's `PM−join`
@@ -323,9 +438,9 @@ pub fn join_glue_pairs_delta(
     assert!(left_old <= left.len(), "left_old beyond left length");
     assert!(right_old <= right.len(), "right_old beyond right length");
     let plan = GluePlan::new(glue);
-    let index = index_rows(right_old..right.len(), |ri| plan.right_key(right, ri));
+    let index = KeyIndex::build(right, &plan.right_cols(), right_old..right.len());
     let mut pairs = plan.probe_left(left, 0..left_old, right, &index);
-    let index = index_rows(left_old..left.len(), |li| plan.left_key(left, li));
+    let index = KeyIndex::build(left, &plan.left_cols(), left_old..left.len());
     pairs.append(&mut plan.probe_right_sorted(left, right, &index));
     pairs
 }
@@ -412,7 +527,7 @@ pub fn join_glue_nested(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Tab
 pub fn outer_join_glue(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Table {
     validate(left, right, glue);
     let plan = GluePlan::new(glue);
-    let index = index_rows(0..right.len(), |ri| plan.right_key(right, ri));
+    let index = KeyIndex::new(right, &plan.right_cols());
 
     let mut right_matched = vec![false; right.len()];
     let mut pairs: Vec<Pair> = Vec::new();
@@ -697,12 +812,15 @@ mod tests {
         let left_small = left.gather(&rows(300));
         let left_equal = left.gather(&rows(right.len() as u32));
         let g = glue();
+        let prebuilt = KeyIndex::new(&right, &[0]);
         // Right side smaller (indexed), left side smaller (indexed, then
         // sorted back to canonical order), equal sizes (right indexed).
+        // One prebuilt right index serves all three.
         for l in [&left, &left_small, &left_equal] {
             let pairs = join_glue_pairs(l, &right, &g);
             assert!(!pairs.is_empty(), "workload must produce matches");
             assert_eq!(pairs, join_glue_pairs_nested(l, &right, &g));
+            assert_eq!(pairs, join_glue_pairs_prebuilt(l, &right, &prebuilt, &g));
         }
     }
 
@@ -753,6 +871,68 @@ mod tests {
             join_glue_pairs_delta(&l, 0, &r, 0, &g),
             join_glue_pairs(&l, &r, &g)
         );
+    }
+
+    /// Every bucket of `index` as (key, rows), for inspecting the layout.
+    fn buckets_of(index: &KeyIndex) -> Vec<(JoinKey, Vec<u32>)> {
+        index
+            .buckets
+            .keys()
+            .map(|k| (k.clone(), index.get(k).expect("listed key").to_vec()))
+            .collect()
+    }
+
+    #[test]
+    fn key_index_buckets_are_ascending_over_any_span() {
+        let (left, _) = big_tables();
+        let n = left.len();
+        for (cols, span) in [
+            (vec![0], 0..n),
+            (vec![1], 0..n),
+            (vec![0, 1], 0..n),
+            (vec![0], 1000..n),
+            (vec![1], 17..n - 17),
+            (vec![0, 1], n / 2..n),
+            (vec![1], n..n),
+        ] {
+            let index = KeyIndex::build(&left, &cols, span.clone());
+            let mut seen: Vec<u32> = Vec::new();
+            for (key, rows) in buckets_of(&index) {
+                assert!(!rows.is_empty(), "no empty buckets");
+                assert!(
+                    rows.windows(2).all(|w| w[0] < w[1]),
+                    "bucket {key:?} over {span:?} is not ascending: {rows:?}"
+                );
+                for &r in &rows {
+                    assert!(span.contains(&(r as usize)), "row {r} outside {span:?}");
+                    let row_key = pack_key(cols.iter().map(|&c| left.col(c).get(r as usize)));
+                    assert_eq!(
+                        row_key.as_ref(),
+                        Some(&key),
+                        "row {r} filed under the wrong key"
+                    );
+                }
+                seen.extend(rows);
+            }
+            // Null-free table: every row of the span is indexed exactly once.
+            seen.sort_unstable();
+            assert_eq!(seen, span.map(|r| r as u32).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "glued right columns")]
+    fn prebuilt_index_key_columns_checked() {
+        let (l, r, g) = (left_table(), right_table(), glue());
+        join_glue_pairs_prebuilt(&l, &r, &KeyIndex::new(&r, &[0, 1]), &g);
+    }
+
+    #[test]
+    #[should_panic(expected = "every right row")]
+    fn prebuilt_index_coverage_checked() {
+        let (l, r, g) = (left_table(), right_table(), glue());
+        let index = KeyIndex::new(&r.gather(&[0, 1]), &[0]);
+        join_glue_pairs_prebuilt(&l, &r, &index, &g);
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //!   columns once ([`join::materialize_pairs`]). Candidate pruning counts
 //!   support straight off the pair stream ([`join::distinct_left_values`])
 //!   without materializing at all;
+//! * [`join::join_glue_pairs_prebuilt`] — the pair stage against a
+//!   [`join::KeyIndex`] built once over the right side and probed by many
+//!   left tables (the batch miner's per-shape action relations);
 //! * [`join::join_glue_pairs_delta`] — the pair stage restricted to pairs
 //!   touching rows appended since an earlier join (the streaming miner);
 //! * [`join::join_glue_nested`] — the identical operator computed by a
@@ -47,7 +50,8 @@ pub use column::{Column, Value, NULL_IX};
 pub use hash::{EntitySet, FastHasher, FastMap, FastSet};
 pub use join::{
     distinct_left_values, join_glue, join_glue_nested, join_glue_pairs, join_glue_pairs_delta,
-    join_glue_pairs_nested, materialize_pairs, outer_join_glue, ColumnGlue, Pair,
+    join_glue_pairs_nested, join_glue_pairs_prebuilt, materialize_pairs, outer_join_glue,
+    ColumnGlue, KeyIndex, Pair,
 };
 pub use schema::Schema;
 pub use table::Table;

@@ -8,7 +8,8 @@ use proptest::prelude::*;
 use wiclean_rel::rowstore::{join_glue_rows, outer_join_glue_rows, RowTable};
 use wiclean_rel::{
     distinct_left_values, join_glue, join_glue_nested, join_glue_pairs, join_glue_pairs_nested,
-    materialize_pairs, outer_join_glue, ColumnGlue, Schema, Table, Value,
+    join_glue_pairs_prebuilt, materialize_pairs, outer_join_glue, ColumnGlue, KeyIndex, Schema,
+    Table, Value,
 };
 use wiclean_types::EntityId;
 
@@ -90,6 +91,15 @@ fn table_of(cols: [&str; 2], rows: &[Vec<Value>]) -> Table {
     Table::from_rows(Schema::new(cols), rows.iter())
 }
 
+/// The right columns a glue spec equi-joins on, in glue order: the key
+/// columns of a prebuilt right index.
+fn glued_right_cols(glue: &[ColumnGlue]) -> Vec<usize> {
+    glue.iter()
+        .enumerate()
+        .filter_map(|(j, g)| matches!(g, ColumnGlue::Glued(_)).then_some(j))
+        .collect()
+}
+
 proptest! {
     /// Hash join ≡ nested-loop join ≡ the row-store reference, pair for
     /// pair and row for row, whichever side the hash join indexes: left
@@ -119,6 +129,28 @@ proptest! {
         );
         let reference_rows: Vec<Vec<Value>> = reference.rows().map(<[Value]>::to_vec).collect();
         prop_assert_eq!(table.rows().collect::<Vec<_>>(), reference_rows);
+    }
+
+    /// The pair stage against a prebuilt right index ≡ the smaller-side
+    /// hash stage ≡ the nested loop, pair for pair. One index serves two
+    /// left tables, as one action relation serves many candidates in the
+    /// miner. Covers glue arity 0, 1 and 2, `≠` constraints, nulls in key
+    /// and non-key columns, duplicate keys and empty sides.
+    #[test]
+    fn prebuilt_equals_hash_and_nested(
+        lrows in row_pool(),
+        rrows in row_pool(),
+        sizes in size_pair_strategy(),
+        glue in keyed_glue_strategy(),
+    ) {
+        let (ln, rn) = sizes;
+        let right = table_of(["x", "y"], &rrows[..rn]);
+        let index = KeyIndex::new(&right, &glued_right_cols(&glue));
+        for left in [table_of(["a", "b"], &lrows[..ln]), table_of(["a", "b"], &lrows[ln..])] {
+            let pairs = join_glue_pairs_prebuilt(&left, &right, &index, &glue);
+            prop_assert_eq!(&pairs, &join_glue_pairs(&left, &right, &glue));
+            prop_assert_eq!(&pairs, &join_glue_pairs_nested(&left, &right, &glue));
+        }
     }
 
     /// The inner join is a sub-multiset of the outer join, and the outer
